@@ -1,53 +1,58 @@
 #!/usr/bin/env bash
-# Offline CI for the FBS power-flow repo. Twelve legs:
+# Offline CI for the FBS power-flow repo. Fourteen legs:
 #
 #   1. Tier-1 verify: release build + the full default test suite.
-#   2. Divergence/NaN hardening: the convergence-status suites (monitor
+#   2. Workspace: every crate's unit and integration suites
+#      (`--workspace --no-fail-fast`, so one failure does not hide the
+#      rest).
+#   3. Benchmark: the repository benchmark's tiny-size test (perfbench
+#      is a workspace of its own, so leg 2 does not reach it).
+#   4. Divergence/NaN hardening: the convergence-status suites (monitor
 #      unit tests, cross-solver collapse acceptance, batch masking, CLI
 #      exit codes) run by name so a filtered tier-1 can't skip them.
-#   3. Fault injection/recovery: the resilience suites (fault-plan
+#   5. Fault injection/recovery: the resilience suites (fault-plan
 #      determinism, checkpoint/rollback recovery, degradation, CLI
 #      exit-5/replay) run by name, plus a smoke run of the E12 bench.
-#   4. Service: the robustness-service suites (deadline/breaker/
+#   6. Service: the robustness-service suites (deadline/breaker/
 #      backpressure unit + property tests, parser-hardening fuzz, CLI
 #      exit-6/7) under a hard wall-clock ceiling — a hung watchdog or
 #      drain must fail the leg, not wedge CI — plus a smoke run of the
 #      E13 bench.
-#   5. Telemetry: the metrics/trace subsystem suites (registry,
+#   7. Telemetry: the metrics/trace subsystem suites (registry,
 #      histogram merge/quantile properties, exporter goldens) plus the
 #      CLI golden-trace tests — a fixed-seed trace must stay
 #      byte-identical and the run summary must reconcile with the
 #      solver's phase report.
-#   6. Tensor batch: the tensor-engine unit suite and the four-family
+#   8. Tensor batch: the tensor-engine unit suite and the four-family
 #      property suite (serial parity, masking, determinism, fault
 #      recovery) under a wall-clock ceiling, plus an `E9_SMOKE` run of
 #      the E9 bench as an end-to-end sanity pass.
-#   7. Contingency: the topology-delta property suite (revertibility,
+#   9. Contingency: the topology-delta property suite (revertibility,
 #      rebuild equivalence, warm starts, screening parity), the
 #      screener unit suite, the CLI `screen` subcommand test, and an
 #      `E14_SMOKE` run of the E14 bench — all under wall-clock
 #      ceilings.
-#   8. Fleet: the multi-device resilience suites (fleet unit tests,
+#  10. Fleet: the multi-device resilience suites (fleet unit tests,
 #      the five-family property suite — parity under kills,
 #      conservation, ladder ordering, replay, scaling — and the CLI
 #      `fleet` subcommand test) under wall-clock ceilings, plus an
 #      `E15_SMOKE` run of the E15 bench and a seeded chaos replay
 #      through the CLI that must exit 0 with one device scripted dead.
-#   9. Integrity/soak: the data-integrity suites (CRC64 transfer
+#  11. Integrity/soak: the data-integrity suites (CRC64 transfer
 #      checks, canary audits, shadow-verification sampler, the
 #      first-request corruption property tests) run by name, plus an
 #      `E16_SMOKE` run of the E16 chaos-soak bench and a seeded storm
 #      soak through the CLI that must exit 0 (exit 8 would mean an
 #      undetected corruption reached an answer).
-#  10. Mesh/DG: the weakly-meshed + distributed-generation suites (the
+#  12. Mesh/DG: the weakly-meshed + distributed-generation suites (the
 #      mesh unit suite, the five-family property suite — radial
 #      pass-through, PV set-point hold, Q-limit clamp equivalence,
 #      hand-computed Thevenin parity, cross-backend agreement — and the
 #      CLI meshed/DG + exit-9 tests) under wall-clock ceilings, plus an
 #      `E17_SMOKE` run of the E17 bench.
-#  11. Racecheck: re-runs every simt and fbs device kernel under the
+#  13. Racecheck: re-runs every simt and fbs device kernel under the
 #      per-cell data-race detector (simt's `racecheck` feature).
-#  12. Lint: clippy over every target with warnings promoted to errors.
+#  14. Lint: clippy over every target with warnings promoted to errors.
 #
 # Everything runs with --offline — the repo has zero external registry
 # dependencies (see DESIGN.md, "Dependency policy"), so a warm toolchain
@@ -59,6 +64,12 @@ cd "$(dirname "$0")"
 echo "== tier-1: cargo build --release && cargo test -q =="
 cargo build --release --offline
 cargo test -q --offline
+
+echo "== workspace: every crate's suites =="
+cargo test -q --offline --workspace --no-fail-fast
+
+echo "== benchmark: perfbench tiny-size test =="
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "== divergence/NaN hardening: status suites =="
 cargo test -q --offline -p fbs --lib status::

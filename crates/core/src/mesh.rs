@@ -31,6 +31,8 @@
 //! [`SolveStatus::OuterDiverged`], CLI exit code 9) rather than
 //! masquerading as `MaxIterations`.
 
+use std::collections::BTreeMap;
+
 use numc::{c, solve_dense, CVec3, Complex};
 use powergrid::three_phase::{ThreePhaseBuilder, ThreePhaseNetwork};
 use powergrid::{MeshedNetwork, NetworkBuilder, PvBus, RadialNetwork};
@@ -325,11 +327,13 @@ impl MeshProblem {
         let k = bps.len();
         // Signed tree-path incidence per loop: σ_i(branch) = +1 for
         // branches on root-path(a_i), −1 on root-path(b_i); shared
-        // prefixes cancel, leaving exactly the a→b tree path.
-        let sigmas: Vec<std::collections::HashMap<usize, f64>> = bps
+        // prefixes cancel, leaving exactly the a→b tree path. Ordered by
+        // bus id so the Thevenin sums below add in the same order in
+        // every process.
+        let sigmas: Vec<BTreeMap<usize, f64>> = bps
             .iter()
             .map(|&(a, b, _)| {
-                let mut sig = std::collections::HashMap::new();
+                let mut sig = BTreeMap::new();
                 for bus in root_path(tree, a) {
                     *sig.entry(bus).or_insert(0.0) += 1.0;
                 }
@@ -1373,6 +1377,22 @@ mod tests {
         // Loop impedance = tree path (z01 + z12) + tie impedance.
         let want = c(1.0, 0.5) + c(1.0, 0.5) + c(0.5, 0.25);
         assert!((p.thevenin()[0] - want).abs() < 1e-12, "{:?}", p.thevenin());
+    }
+
+    #[test]
+    fn thevenin_matrix_is_bitwise_reproducible() {
+        // Every build sums the loop paths in the same order: 20 builds
+        // in one process (each with fresh per-map state, were the sums
+        // ordered by a hash) give identical bits.
+        let net = ieee123_dg();
+        let first = MeshProblem::new(&net);
+        assert!(first.num_loops() > 1, "needs off-diagonal sums");
+        let bits = |p: &MeshProblem| -> Vec<(u64, u64)> {
+            p.thevenin().iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+        };
+        for _ in 0..20 {
+            assert_eq!(bits(&MeshProblem::new(&net)), bits(&first));
+        }
     }
 
     #[test]

@@ -2119,15 +2119,14 @@ impl Kernel for SweepKernel<'_> {
                         let zm = if p as u32 == mb.z_pos { mb.z_val } else { zv };
                         let nv = vp - zm * jv;
                         t.flops(Complex::MUL_FLOPS + Complex::ADD_FLOPS + 4);
-                        let d = (nv - old).abs();
                         t.st(&self.v, g, nv);
                         t.flops(MaxAbsF64::FLOPS);
-                        partial[qi * bdim + tid] =
-                            MaxAbsF64::combine(partial[qi * bdim + tid], d);
+                        let slot_max = &mut partial[qi * bdim + tid];
+                        *slot_max = max_abs_fold(*slot_max, nv - old);
                         if self.min_v.is_some() {
                             t.flops(2);
                             let slot_min = &mut partial_min[qi * bdim + tid];
-                            *slot_min = slot_min.min(nv.abs());
+                            *slot_min = min_abs_fold(*slot_min, nv);
                         }
                     }
                     k += bdim;
@@ -2188,6 +2187,32 @@ impl Kernel for SweepKernel<'_> {
             }
         }
     }
+}
+
+/// `MaxAbsF64::combine(cur, x.abs())` for a running max of magnitudes,
+/// bit for bit, without the `hypot` when the squared norm already
+/// decides it. Inside `(1e-150, 1e150)` neither `cur²` nor a smaller
+/// `|x|²` overflows or loses the comparison to underflow, and the
+/// `1e-12` margin dwarfs the few ulps of rounding in `norm_sqr`, `cur²`
+/// and `hypot`: a skipped `x` has `hypot(x) ≤ cur`, so the fold would
+/// have returned `cur` anyway. NaN, ties and everything outside the
+/// window take the exact path.
+#[inline]
+fn max_abs_fold(cur: f64, x: Complex) -> f64 {
+    if cur > 1e-150 && cur < 1e150 && x.norm_sqr() < cur * cur * (1.0 - 1e-12) {
+        return cur;
+    }
+    MaxAbsF64::combine(cur, x.abs())
+}
+
+/// `cur.min(x.abs())` for a running min of magnitudes, bit for bit —
+/// the mirror of [`max_abs_fold`]: a skipped `x` has `hypot(x) ≥ cur`.
+#[inline]
+fn min_abs_fold(cur: f64, x: Complex) -> f64 {
+    if cur > 1e-150 && cur < 1e150 && x.norm_sqr() > cur * cur * (1.0 + 1e-12) {
+        return cur;
+    }
+    cur.min(x.abs())
 }
 
 /// One *no-commit* iteration for the integrity audit: recomputes branch
@@ -2507,7 +2532,13 @@ mod tests {
         let cfg = SolverConfig::default();
         let mut sick = base_loads(&net);
         sick[7] = c(f64::NAN, 0.0);
-        let res = solver().solve(&net, &[base_loads(&net), sick], &cfg);
+        let scenarios = [base_loads(&net), sick];
+        let flat = vec![vec![net.source_voltage(); net.num_buses()]; scenarios.len()];
+        let res = assert_residuals_match_plain_hypot(
+            |m| solver().solve(&net, &scenarios, &capped(m)),
+            &flat,
+        );
+        assert!(res.residuals[1].is_nan());
         assert_eq!(res.statuses[0], SolveStatus::Converged);
         match res.statuses[1] {
             SolveStatus::NumericalFailure { at_iteration } => {
@@ -2515,6 +2546,134 @@ mod tests {
                 assert!(at_iteration < cfg.max_iter);
             }
             other => panic!("NaN load must be a numerical failure, got {other}"),
+        }
+    }
+
+    fn same_bits(a: f64, b: f64) -> bool {
+        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+    }
+
+    /// Solves through `run(max_iter)` and checks every scenario's
+    /// reported residual bit for bit against a plain-`hypot` max fold of
+    /// its last update, `v_k − v_{k−1}`: `v_{k−1}` comes from the same
+    /// solve capped one iteration earlier, or from `start` when `k = 1`.
+    fn assert_residuals_match_plain_hypot(
+        run: impl Fn(u32) -> TensorBatchResult,
+        start: &[Vec<Complex>],
+    ) -> TensorBatchResult {
+        let res = run(SolverConfig::default().max_iter);
+        for (s, v_start) in start.iter().enumerate() {
+            let k = res.per_scenario_iterations[s];
+            let prev = if k == 1 { v_start.clone() } else { run(k - 1).v[s].clone() };
+            let want = prev
+                .iter()
+                .zip(&res.v[s])
+                .fold(0.0, |m, (&old, &nv)| MaxAbsF64::combine(m, (nv - old).abs()));
+            assert!(
+                same_bits(res.residuals[s], want),
+                "scenario {s}: residual {:e} vs plain fold {want:e}",
+                res.residuals[s]
+            );
+        }
+        res
+    }
+
+    fn capped(max_iter: u32) -> SolverConfig {
+        SolverConfig { max_iter, ..SolverConfig::default() }
+    }
+
+    /// The network with source, loads and impedances all scaled by
+    /// `alpha` (the same branch currents at `alpha` times the voltages).
+    fn rescaled(net: &RadialNetwork, alpha: f64) -> RadialNetwork {
+        let mut b = powergrid::NetworkBuilder::new(net.source_voltage() * alpha);
+        for bus in net.buses() {
+            b.add_bus(bus.load * alpha);
+        }
+        for br in net.branches() {
+            b.connect(br.from, br.to, br.z * alpha);
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn residual_fold_is_exact_for_a_warm_start_at_the_fixed_point() {
+        let net = ieee37();
+        let a = SolverArrays::new(&net);
+        let loads = scaled_scenarios(&net, &[0.9, 1.2]);
+        let step = |warm: &[Vec<Complex>], m: u32| {
+            solver().try_solve_arrays_warm(&a, &loads, &capped(m), warm).unwrap()
+        };
+        // Iterate one sweep at a time until a sweep leaves every bit of
+        // both profiles in place.
+        let mut fixed = solver().solve_arrays(&a, &loads, &SolverConfig::default()).v;
+        loop {
+            let next = step(&fixed, 1).v;
+            if next == fixed {
+                break;
+            }
+            fixed = next;
+        }
+        let res = assert_residuals_match_plain_hypot(|m| step(&fixed, m), &fixed);
+        assert_eq!(res.per_scenario_iterations, vec![1, 1]);
+        assert!(res.residuals.iter().all(|&r| r == 0.0), "{:?}", res.residuals);
+    }
+
+    #[test]
+    fn residual_and_min_v_folds_are_exact_at_extreme_scalings() {
+        let net = ieee13();
+        let v0 = net.source_voltage().abs();
+        // Around 1e-160 and 1e152 the squared magnitudes leave the
+        // normal range and the folds must fall back to `hypot`; at 1e160
+        // `|V|²` overflows inside the complex division itself, so the
+        // solve fails numerically and the folds carry NaN.
+        for (target, solvable) in [(1e-160, true), (1e152, true), (1e160, false)] {
+            let scaled = rescaled(&net, target / v0);
+            let a = SolverArrays::new(&scaled);
+            let dfs = DfsOrder::new(&scaled);
+            let patches = [ScenarioPatch::base(), ScenarioPatch::outage(6)];
+            let plan = PatchPlan::build(&a, &dfs, &patches, None);
+            let mut start = vec![vec![a.source; scaled.num_buses()]; patches.len()];
+            for &bus in &plan.isolated[1] {
+                start[1][bus as usize] = Complex::ZERO;
+            }
+            let res = assert_residuals_match_plain_hypot(
+                |m| solver().try_solve_patched_arrays(&a, &dfs, &patches, &capped(m), None).unwrap(),
+                &start,
+            );
+            assert_eq!(res.converged(), solvable, "scale {target:e}: {:?}", res.statuses);
+            for s in 0..patches.len() {
+                let want = host_min_v(&res.v[s], plan.root, &plan.isolated[s]);
+                assert!(same_bits(res.min_v[s], want), "scale {target:e} scenario {s}");
+            }
+        }
+    }
+
+    #[test]
+    fn residual_and_min_v_folds_are_exact_on_patched_outages() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let net = random_tree(400, 6, &GenSpec::default(), &mut rng);
+        let a = SolverArrays::new(&net);
+        let dfs = DfsOrder::new(&net);
+        let patches = [
+            ScenarioPatch::outage(7),
+            ScenarioPatch { scale: 1.3, ..ScenarioPatch::default() },
+            ScenarioPatch::outage(200),
+        ];
+        let plan = PatchPlan::build(&a, &dfs, &patches, None);
+        let mut start = vec![vec![a.source; net.num_buses()]; patches.len()];
+        for (s, dead) in plan.isolated.iter().enumerate() {
+            for &bus in dead {
+                start[s][bus as usize] = Complex::ZERO;
+            }
+        }
+        let res = assert_residuals_match_plain_hypot(
+            |m| solver().try_solve_patched_arrays(&a, &dfs, &patches, &capped(m), None).unwrap(),
+            &start,
+        );
+        assert!(res.converged(), "{:?}", res.statuses);
+        for s in 0..patches.len() {
+            let want = host_min_v(&res.v[s], plan.root, &plan.isolated[s]);
+            assert!(same_bits(res.min_v[s], want), "scenario {s}: {} vs {want}", res.min_v[s]);
         }
     }
 

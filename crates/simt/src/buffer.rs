@@ -277,6 +277,17 @@ impl<T: DeviceCopy> DeviceBuffer<T> {
         self.data.iter().map(|c| unsafe { *c.get() }).collect()
     }
 
+    /// CRC64 of the device contents, computed in place (no host copy).
+    pub(crate) fn crc64(&self) -> u64 {
+        // SAFETY: `UnsafeCell<T>` is `repr(transparent)`, so the payload
+        // is a contiguous `[T]` of `len` elements; &self guarantees no
+        // kernel holds a GlobalMut on another thread (as in
+        // `copy_to_host`).
+        let data =
+            unsafe { std::slice::from_raw_parts(self.data.as_ptr() as *const T, self.len()) };
+        crate::crc::crc64_of(data)
+    }
+
     /// A read-only global-memory view for a kernel parameter.
     pub fn view(&self) -> GlobalRef<'_, T> {
         GlobalRef { data: &self.data, id: self.id }

@@ -282,7 +282,7 @@ impl Device {
     ) -> Result<(), DeviceError> {
         let expected = crate::crc::crc64_of(src);
         self.try_htod(buf, src)?;
-        let actual = crate::crc::crc64_of(&buf.copy_to_host());
+        let actual = buf.crc64();
         if actual != expected {
             return Err(DeviceError::TransferCorrupted {
                 site: FaultSite::Htod,
@@ -304,7 +304,7 @@ impl Device {
         &mut self,
         buf: &DeviceBuffer<T>,
     ) -> Result<Vec<T>, DeviceError> {
-        let expected = crate::crc::crc64_of(&buf.copy_to_host());
+        let expected = buf.crc64();
         let out = self.try_dtoh(buf)?;
         let actual = crate::crc::crc64_of(&out);
         if actual != expected {

@@ -285,14 +285,14 @@ impl ThreadCtx<'_> {
     }
 
     /// Loads element `i` from a read-only global view.
-    #[inline]
+    #[inline(always)]
     pub fn ld<T: DeviceCopy>(&mut self, g: &GlobalRef<'_, T>, i: usize) -> T {
         self.note_gmem(g.id, i, std::mem::size_of::<T>(), false, g.data.len());
         g.raw_load(i)
     }
 
     /// Loads element `i` from a read-write global view.
-    #[inline]
+    #[inline(always)]
     pub fn ld_mut<T: DeviceCopy>(&mut self, g: &GlobalMut<'_, T>, i: usize) -> T {
         self.note_gmem(g.id, i, std::mem::size_of::<T>(), false, g.data.len());
         #[cfg(feature = "racecheck")]
@@ -301,7 +301,7 @@ impl ThreadCtx<'_> {
     }
 
     /// Stores `v` to element `i` of a read-write global view.
-    #[inline]
+    #[inline(always)]
     pub fn st<T: DeviceCopy>(&mut self, g: &GlobalMut<'_, T>, i: usize, v: T) {
         self.note_gmem(g.id, i, std::mem::size_of::<T>(), true, g.data.len());
         #[cfg(feature = "racecheck")]
@@ -360,19 +360,25 @@ impl ThreadCtx<'_> {
         }
     }
 
-    #[inline]
+    #[inline(always)]
     fn note_gmem(&mut self, buf: crate::buffer::BufId, i: usize, elem: usize, store: bool, len: usize) {
         if i >= len {
-            panic!(
-                "device fault: {} of element {i} out of bounds (len {len}) \
-                 by block {} thread {}",
-                if store { "store" } else { "load" },
-                self.block_idx,
-                self.tid
-            );
+            self.gmem_fault(i, store, len);
         }
         self.acc.note_gmem(buf, (i * elem) as u64, elem as u64, self.seq, store);
         self.seq += 1;
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn gmem_fault(&self, i: usize, store: bool, len: usize) -> ! {
+        panic!(
+            "device fault: {} of element {i} out of bounds (len {len}) \
+             by block {} thread {}",
+            if store { "store" } else { "load" },
+            self.block_idx,
+            self.tid
+        );
     }
 }
 

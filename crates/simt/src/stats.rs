@@ -5,6 +5,14 @@
 //! totals into modeled microseconds. Stats are gathered per block (no
 //! cross-thread sharing while the kernel runs) and merged once at the end
 //! of the launch, so collection adds no synchronization to the hot path.
+//!
+//! The global-memory tally runs on every simulated load and store, which
+//! makes it the simulator's innermost host loop.
+//! [`BlockAccounting::note_gmem`] is forced inline into
+//! [`crate::ThreadCtx`]'s `ld`/`ld_mut`/`st`, and the out-of-bounds device
+//! fault and slot-vector growth sit on cold paths. What stays on the
+//! per-access path is one bounds compare, one slot load, compare and
+//! store, and a handful of adds with no data-dependent branch.
 
 use crate::buffer::BufId;
 
@@ -121,7 +129,10 @@ impl BlockAccounting {
     /// Records a global access by thread `tid` at element byte offset
     /// `byte_off` of buffer `buf`; `seq` is the thread's access ordinal
     /// within the current phase (0-based).
-    #[inline]
+    ///
+    /// Straight-line on purpose (see the module docs): the counters and
+    /// the coalescing miss are added as 0/1 values, not branched on.
+    #[inline(always)]
     pub fn note_gmem(
         &mut self,
         buf: BufId,
@@ -130,11 +141,8 @@ impl BlockAccounting {
         seq: u32,
         is_store: bool,
     ) {
-        if is_store {
-            self.gmem_stores += 1;
-        } else {
-            self.gmem_loads += 1;
-        }
+        self.gmem_stores += u64::from(is_store);
+        self.gmem_loads += u64::from(!is_store);
         self.gmem_bytes += bytes;
 
         // Per-warp coalescing: one new transaction whenever this slot's
@@ -145,14 +153,21 @@ impl BlockAccounting {
         let last_seg = (byte_off + bytes - 1) / TRANSACTION_BYTES;
         let slot = seq as usize;
         if slot >= self.slots.len() {
-            self.slots.resize(slot + 1, SlotState::default());
+            self.grow_slots(slot);
         }
+        let epoch = self.warp_epoch;
         let s = &mut self.slots[slot];
-        if s.epoch != self.warp_epoch || s.buf != buf || s.segment != first_seg {
-            self.gmem_transactions += 1;
-        }
-        self.gmem_transactions += last_seg - first_seg; // straddles
-        *s = SlotState { epoch: self.warp_epoch, buf, segment: last_seg };
+        let miss = (s.epoch != epoch) | (s.buf != buf) | (s.segment != first_seg);
+        self.gmem_transactions += u64::from(miss) + (last_seg - first_seg); // + straddles
+        *s = SlotState { epoch, buf, segment: last_seg };
+    }
+
+    /// Extends the slot vector to cover `slot` (fresh slots carry epoch
+    /// 0, which no warp uses, so their first access always misses).
+    #[cold]
+    #[inline(never)]
+    fn grow_slots(&mut self, slot: usize) {
+        self.slots.resize(slot + 1, SlotState::default());
     }
 
     /// Records an atomic RMW by the current thread on element `i` of
@@ -193,6 +208,7 @@ impl BlockAccounting {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rng::Rng;
 
     #[test]
     fn merge_accumulates_and_maxes() {
@@ -275,6 +291,147 @@ mod tests {
             acc.note_gmem(BufId(2), t * 8, 8, 1, false);
         }
         assert_eq!(acc.gmem_transactions, 2); // one per slot
+    }
+
+    /// One step of a thread's access stream.
+    #[derive(Clone, Copy, Debug)]
+    enum Step {
+        Access { buf: u32, byte_off: u64, bytes: u64, store: bool },
+        /// Consumes an access ordinal without a coalesced access (what
+        /// an atomic does), leaving that slot's state as it was.
+        Skip,
+    }
+
+    /// `phases[p][tid]` is thread `tid`'s stream in phase `p`.
+    type Block = Vec<Vec<Vec<Step>>>;
+
+    /// The per-warp, per-slot coalescing rule written out plainly: an
+    /// access costs a fresh transaction unless the previous access at
+    /// the same slot, in the same phase and warp, touched the same
+    /// buffer and ended in the segment this one starts in; every extra
+    /// segment it spans costs one more.
+    fn reference(block: &Block, warp: usize) -> LaunchStats {
+        let block_dim = block[0].len();
+        let mut out = LaunchStats {
+            blocks: 1,
+            threads: block_dim as u64,
+            max_block_threads: block_dim as u64,
+            ..Default::default()
+        };
+        let mut last = std::collections::BTreeMap::new();
+        for (p, threads) in block.iter().enumerate() {
+            for (tid, steps) in threads.iter().enumerate() {
+                for (slot, step) in steps.iter().enumerate() {
+                    let Step::Access { buf, byte_off, bytes, store } = *step else { continue };
+                    if store {
+                        out.gmem_stores += 1;
+                    } else {
+                        out.gmem_loads += 1;
+                    }
+                    out.gmem_bytes += bytes;
+                    let first = byte_off / TRANSACTION_BYTES;
+                    let end = (byte_off + bytes - 1) / TRANSACTION_BYTES;
+                    let here = (p, tid / warp, buf);
+                    if last.get(&slot) != Some(&(here, first)) {
+                        out.gmem_transactions += 1;
+                    }
+                    out.gmem_transactions += end - first;
+                    last.insert(slot, (here, end));
+                }
+            }
+        }
+        out
+    }
+
+    /// Feeds `block` to [`BlockAccounting`] the way
+    /// [`crate::scope::BlockScope::threads`] does: a new warp epoch at
+    /// every warp's first thread and access ordinals restarting per
+    /// thread.
+    fn tally(block: &Block, warp: usize) -> LaunchStats {
+        let mut acc = BlockAccounting::default();
+        for threads in block {
+            for (tid, steps) in threads.iter().enumerate() {
+                if tid % warp == 0 {
+                    acc.warp_epoch += 1;
+                }
+                for (seq, step) in steps.iter().enumerate() {
+                    if let Step::Access { buf, byte_off, bytes, store } = *step {
+                        acc.note_gmem(BufId(buf), byte_off, bytes, seq as u32, store);
+                    }
+                }
+            }
+        }
+        let mut out = LaunchStats::default();
+        acc.fold_into(&mut out, block[0].len() as u64);
+        out
+    }
+
+    fn random_block(r: &mut impl Rng) -> (Block, usize) {
+        let warp = [1, 4, 8, 32][r.gen_range(0..4usize)];
+        let block_dim = r.gen_range(1..=96usize);
+        let phases = r.gen_range(1..=4usize);
+        let block = (0..phases)
+            .map(|_| {
+                let slots = r.gen_range(0..=6usize);
+                // Per-slot pattern shared by the block's threads, so
+                // warps mostly coalesce; per-thread noise breaks it up.
+                let pattern: Vec<(u32, u64, u64)> = (0..slots)
+                    .map(|_| {
+                        let elem = [4u64, 8, 16][r.gen_range(0..3usize)];
+                        (r.gen_range(0..3u32), elem, r.gen_range(0..64u64) * elem)
+                    })
+                    .collect();
+                (0..block_dim)
+                    .map(|tid| {
+                        let len = r.gen_range(0..=slots);
+                        pattern[..len]
+                            .iter()
+                            .map(|&(buf, elem, base)| {
+                                let aligned = base + tid as u64 * elem;
+                                match r.gen_range(0..10u32) {
+                                    0 => Step::Skip,
+                                    1 => Step::Access {
+                                        buf: r.gen_range(0..3u32),
+                                        byte_off: aligned,
+                                        bytes: elem,
+                                        store: false,
+                                    },
+                                    // Unaligned: may straddle a segment.
+                                    2 => Step::Access {
+                                        buf,
+                                        byte_off: aligned + r.gen_range(1..elem),
+                                        bytes: elem,
+                                        store: r.gen_bool(0.5),
+                                    },
+                                    3 => Step::Access {
+                                        buf,
+                                        byte_off: r.gen_range(0..8192u64),
+                                        bytes: elem,
+                                        store: true,
+                                    },
+                                    _ => Step::Access {
+                                        buf,
+                                        byte_off: aligned,
+                                        bytes: elem,
+                                        store: r.gen_bool(0.3),
+                                    },
+                                }
+                            })
+                            .collect()
+                    })
+                    .collect()
+            })
+            .collect();
+        (block, warp)
+    }
+
+    #[test]
+    fn tally_equals_the_reference_rule_on_random_streams() {
+        let mut r = rng::SplitMix64::new(0x7A11);
+        for case in 0..2000 {
+            let (block, warp) = random_block(&mut r);
+            assert_eq!(tally(&block, warp), reference(&block, warp), "case {case}: {block:?}");
+        }
     }
 
     #[test]
