@@ -29,7 +29,7 @@ use std::time::Instant;
 
 use numc::Complex;
 use powergrid::RadialNetwork;
-use primitives::ops::{AddComplex, MaxAbsF64, ScanOp};
+use primitives::ops::{max_abs_fold, AddComplex, MaxAbsF64};
 use primitives::{try_fill, try_launch_map, try_reduce, try_segscan_inclusive_range};
 use simt::{Device, DeviceBuffer, DeviceError};
 use telemetry::Recorder;
@@ -563,7 +563,7 @@ impl SweepSession for GpuSession<'_> {
         for p in 1..n {
             let parent = a.parent_pos[p] as usize;
             let nv = v_new[parent] - a.z[p] * j[p];
-            res = MaxAbsF64::combine(res, (nv - v_pos[p]).abs());
+            res = max_abs_fold(res, nv - v_pos[p]);
             v_new[p] = nv;
         }
         (res, j)

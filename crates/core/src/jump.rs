@@ -32,7 +32,7 @@ use std::time::Instant;
 
 use numc::Complex;
 use powergrid::{DfsOrder, RadialNetwork, DFS_NO_PARENT};
-use primitives::ops::{AddComplex, MaxAbsF64, ScanOp};
+use primitives::ops::{max_abs_fold, AddComplex, MaxAbsF64};
 use primitives::{try_fill, try_launch_map, try_reduce, try_scan_exclusive};
 use simt::{Device, DeviceBuffer, DeviceError};
 use telemetry::Recorder;
@@ -507,11 +507,11 @@ impl SweepSession for JumpSession<'_> {
         // The device rebuilds every voltage from the source constant, so
         // a corrupted root read-back never perturbs the children — check
         // the root directly (exactly zero in clean runs).
-        let mut res = MaxAbsF64::combine(0.0, (a.source - v_pos[0]).abs());
+        let mut res = max_abs_fold(0.0, a.source - v_pos[0]);
         for d in 1..n {
             let parent = a.parent_or_self[d] as usize;
             let nv = v_new[parent] - a.z[d] * j[d];
-            res = MaxAbsF64::combine(res, (nv - v_pos[d]).abs());
+            res = max_abs_fold(res, nv - v_pos[d]);
             v_new[d] = nv;
         }
         (res, j)

@@ -3,8 +3,17 @@
 //! Answers the reviewer question the paper leaves open: *how much of the
 //! GPU win is parallelism you could have had on the host?* Same
 //! level-synchronous structure as the GPU solver, executed by host
-//! threads over chunked level ranges with a barrier per level (realised
-//! here as one `std::thread::scope` per parallel region).
+//! threads over chunked level ranges with a barrier per level.
+//!
+//! Execution: the host's worker count is read once per solve. A region
+//! of at least [`PARALLEL_THRESHOLD`] buses is split into one chunk per
+//! worker; the calling thread runs the first chunk and scoped threads
+//! the rest, joined at the end of the region (the barrier). Smaller
+//! regions, and every region on a one-worker host, run inline with no
+//! fork at all. The forward sweep folds its convergence ∞-norm per
+//! chunk and combines the partials in chunk order, which is bus-position
+//! order, so every iterate, residual and first NaN matches
+//! [`crate::SerialSolver`] bit for bit.
 //!
 //! Modeled time: the serial roofline time of each region divided by the
 //! effective core count, plus a per-region fork/join overhead — the
@@ -15,7 +24,7 @@ use std::time::Instant;
 
 use numc::Complex;
 use powergrid::RadialNetwork;
-use primitives::ops::{MaxAbsF64, ScanOp};
+use primitives::ops::{max_abs_fold, MaxAbsF64, ScanOp};
 use simt::HostProps;
 
 use telemetry::Recorder;
@@ -26,11 +35,29 @@ use crate::obs::Obs;
 use crate::report::{PhaseTimes, SolveResult, Timing};
 use crate::status::{ConvergenceMonitor, SolveStatus};
 
-/// Work below this many buses runs inline instead of forking threads.
+/// Work below this many buses runs inline instead of forking threads
+/// (and is modeled without the fork/join cost).
 const PARALLEL_THRESHOLD: usize = 2048;
 
 /// Modeled fork/join cost of one parallel region, µs.
 const FORK_JOIN_US: f64 = 4.0;
+
+/// How a solve splits its parallel regions on the host: into `workers`
+/// chunks when a region has at least `min_len` elements.
+#[derive(Clone, Copy, Debug)]
+struct Split {
+    workers: usize,
+    min_len: usize,
+}
+
+impl Split {
+    /// One chunk per available host thread (at most 8). Queried once per
+    /// solve: the query reads cgroup files and costs tens of µs.
+    fn host() -> Self {
+        let workers = std::thread::available_parallelism().map(|w| w.get()).unwrap_or(1).min(8);
+        Split { workers, min_len: PARALLEL_THRESHOLD }
+    }
+}
 
 /// The level-parallel multicore solver.
 #[derive(Clone, Debug)]
@@ -90,6 +117,16 @@ impl MulticoreSolver {
         cfg: &SolverConfig,
         v_init: Option<&[Complex]>,
     ) -> SolveResult {
+        self.solve_split(a, cfg, v_init, Split::host())
+    }
+
+    fn solve_split(
+        &self,
+        a: &SolverArrays,
+        cfg: &SolverConfig,
+        v_init: Option<&[Complex]>,
+        split: Split,
+    ) -> SolveResult {
         let wall0 = Instant::now();
         let n = a.len();
         let v0 = a.source;
@@ -107,7 +144,6 @@ impl MulticoreSolver {
         };
         let mut i_inj = vec![Complex::ZERO; n];
         let mut j = vec![Complex::ZERO; n];
-        let mut delta = vec![0.0f64; n];
 
         let ws = 112 * n as u64;
         let mut phases =
@@ -124,13 +160,14 @@ impl MulticoreSolver {
             let iter_t0 = phases.total_us();
 
             // Injection: embarrassingly parallel over all buses.
-            par_zip(&mut i_inj, |lo, out| {
+            let inject = |lo: usize, out: &mut [Complex]| {
                 for (k, slot) in out.iter_mut().enumerate() {
                     let p = lo + k;
                     let s = a.s[p];
                     *slot = if s == Complex::ZERO { Complex::ZERO } else { (s / v[p]).conj() };
                 }
-            });
+            };
+            par_chunks(&mut i_inj, split, inject, |(), ()| ());
             phases.injection_us += self.region_time_us(12 * n as u64, 48 * n as u64, n, ws);
             obs.phase("injection", iter_t0, phases.total_us());
             let bwd_t0 = phases.total_us();
@@ -144,7 +181,7 @@ impl MulticoreSolver {
                 let (_, level_j) = head.split_at_mut(lo);
                 let tail_base = range.end;
                 let tail_ref: &[Complex] = tail;
-                par_zip(level_j, |off, out| {
+                let accumulate = |off: usize, out: &mut [Complex]| {
                     for (k, slot) in out.iter_mut().enumerate() {
                         let p = lo + off + k;
                         let mut acc = i_inj[p];
@@ -153,7 +190,8 @@ impl MulticoreSolver {
                         }
                         *slot = acc;
                     }
-                });
+                };
+                par_chunks(level_j, split, accumulate, |(), ()| ());
                 phases.backward_us += self.region_time_us(
                     4 * range.len() as u64,
                     48 * range.len() as u64,
@@ -165,25 +203,29 @@ impl MulticoreSolver {
             obs.phase("backward", bwd_t0, phases.total_us());
             let fwd_t0 = phases.total_us();
 
-            // Forward sweep: parallel within each level.
+            // Forward sweep: parallel within each level, each chunk
+            // folding its own |ΔV| ∞-norm. `f64::max` drops NaN, so the
+            // folds use the NaN-propagating ∞-norm operator; chunks and
+            // levels combine in bus-position order, as the serial fold.
+            let mut d = 0.0f64;
             for l in 1..a.num_levels() {
                 let range = a.levels.level_range(l);
                 let lo = range.start;
                 let (head, level_v) = v.split_at_mut(lo);
                 let level_v = &mut level_v[..range.len()];
                 let head_ref: &[Complex] = head;
-                let (d_head, d_level) = delta.split_at_mut(lo);
-                let _ = d_head;
-                let d_level = &mut d_level[..range.len()];
-                par_zip2(level_v, d_level, |off, out_v, out_d| {
-                    for k in 0..out_v.len() {
+                let update = |off: usize, out: &mut [Complex]| {
+                    let mut m = 0.0f64;
+                    for (k, slot) in out.iter_mut().enumerate() {
                         let p = lo + off + k;
                         let parent = a.parent_pos[p] as usize;
                         let new_v = head_ref[parent] - a.z[p] * j[p];
-                        out_d[k] = (new_v - out_v[k]).abs();
-                        out_v[k] = new_v;
+                        m = max_abs_fold(m, new_v - *slot);
+                        *slot = new_v;
                     }
-                });
+                    m
+                };
+                d = MaxAbsF64::combine(d, par_chunks(level_v, split, update, MaxAbsF64::combine));
                 phases.forward_us += self.region_time_us(
                     12 * range.len() as u64,
                     80 * range.len() as u64,
@@ -194,9 +236,7 @@ impl MulticoreSolver {
 
             obs.phase("forward", fwd_t0, phases.total_us());
 
-            // Convergence: parallel max-reduce. `f64::max` drops NaN, so
-            // the fold uses the NaN-propagating ∞-norm operator.
-            let d = delta.iter().fold(0.0f64, |m, &x| MaxAbsF64::combine(m, x));
+            // Convergence: modeled as a parallel max-reduce over ΔV.
             phases.convergence_us += self.region_time_us(n as u64, 8 * n as u64, n, ws);
 
             residual = d;
@@ -241,52 +281,44 @@ impl Default for MulticoreSolver {
     }
 }
 
-/// Splits `out` into chunks processed by scoped threads; `f(offset,
-/// chunk)` fills each chunk. Runs inline under the threshold.
-fn par_zip<T: Send>(out: &mut [T], f: impl Fn(usize, &mut [T]) + Sync) {
+/// Splits `out` into `split.workers` chunks; `f(offset, chunk)` fills a
+/// chunk and returns its partial, and the partials are combined left to
+/// right, i.e. in position order. The calling thread runs the first
+/// chunk and scoped threads the others. Regions shorter than
+/// `split.min_len`, or any region on one worker, run inline as a single
+/// chunk.
+fn par_chunks<T: Send, R: Send>(
+    out: &mut [T],
+    split: Split,
+    f: impl Fn(usize, &mut [T]) -> R + Sync,
+    combine: impl Fn(R, R) -> R,
+) -> R {
     let n = out.len();
-    if n < PARALLEL_THRESHOLD {
-        f(0, out);
-        return;
+    if n < split.min_len || split.workers == 1 {
+        return f(0, out);
     }
-    let workers = std::thread::available_parallelism().map(|w| w.get()).unwrap_or(1).min(8);
-    let chunk = n.div_ceil(workers);
+    let chunk = n.div_ceil(split.workers);
     std::thread::scope(|s| {
-        for (ci, chunk_slice) in out.chunks_mut(chunk).enumerate() {
-            let f = &f;
-            s.spawn(move || f(ci * chunk, chunk_slice));
-        }
-    });
-}
-
-/// Two-output variant of [`par_zip`] (forward sweep writes V and ΔV).
-fn par_zip2<A: Send, B: Send>(
-    a: &mut [A],
-    b: &mut [B],
-    f: impl Fn(usize, &mut [A], &mut [B]) + Sync,
-) {
-    assert_eq!(a.len(), b.len());
-    let n = a.len();
-    if n < PARALLEL_THRESHOLD {
-        f(0, a, b);
-        return;
-    }
-    let workers = std::thread::available_parallelism().map(|w| w.get()).unwrap_or(1).min(8);
-    let chunk = n.div_ceil(workers);
-    std::thread::scope(|s| {
-        for (ci, (ca, cb)) in a.chunks_mut(chunk).zip(b.chunks_mut(chunk)).enumerate() {
-            let f = &f;
-            s.spawn(move || f(ci * chunk, ca, cb));
-        }
-    });
+        let mut chunks = out.chunks_mut(chunk);
+        let first = chunks.next().expect("a non-empty region has a chunk");
+        let f = &f;
+        let rest: Vec<_> = chunks
+            .enumerate()
+            .map(|(ci, c)| s.spawn(move || f((ci + 1) * chunk, c)))
+            .collect();
+        rest.into_iter().fold(f(0, first), |acc, h| {
+            combine(acc, h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+        })
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::serial::SerialSolver;
+    use numc::c;
     use powergrid::gen::{balanced_binary, chain, GenSpec};
-    use powergrid::ieee::ieee13;
+    use powergrid::ieee::{ieee123_style, ieee13};
     use rng::rngs::StdRng;
     use rng::SeedableRng;
 
@@ -319,6 +351,59 @@ mod tests {
         assert!(m.converged() && s.converged());
         for (a, b) in s.v.iter().zip(&m.v) {
             assert!((*a - *b).abs() < 1e-6);
+        }
+    }
+
+    fn same_bits(a: &[Complex], b: &[Complex]) -> bool {
+        let bits = |x: &Complex| (x.re.to_bits(), x.im.to_bits());
+        a.len() == b.len() && a.iter().map(bits).eq(b.iter().map(bits))
+    }
+
+    /// Serial and multicore agree bit for bit — voltages, currents,
+    /// iteration counts, residual histories, statuses — whatever the
+    /// split. `min_len: 1` forces every region into chunks, also on
+    /// feeders whose levels never reach the threshold and on hosts with
+    /// one CPU.
+    #[test]
+    fn matches_serial_bit_for_bit_in_forced_chunks() {
+        let mut rng = StdRng::seed_from_u64(31);
+        let spec = GenSpec::default();
+        let mut cases = vec![
+            ("ieee13", SolverArrays::new(&ieee13())),
+            ("ieee123", SolverArrays::new(&ieee123_style())),
+        ];
+        for n in [1023, 32_767, 131_071] {
+            cases.push(("binary", SolverArrays::new(&balanced_binary(n, &spec, &mut rng))));
+        }
+        // A NaN load deep in the tree: the first NaN of the ∞-norm fold
+        // must be the serial one.
+        let mut sick = SolverArrays::new(&balanced_binary(32_767, &spec, &mut rng));
+        sick.s[20_000] = c(f64::NAN, 0.0);
+        cases.push(("binary with a NaN load", sick));
+
+        let cfg = SolverConfig::default();
+        for (name, a) in &cases {
+            let s = SerialSolver::new(HostProps::paper_rig()).solve_arrays(a, &cfg);
+            assert_eq!(s.residual.is_nan(), name.contains("NaN"), "{name}: {}", s.status);
+            let modeled = mc().solve_split(a, &cfg, None, Split { workers: 1, min_len: 1 });
+            for workers in [2, 3] {
+                for min_len in [1, PARALLEL_THRESHOLD] {
+                    let split = Split { workers, min_len };
+                    let m = mc().solve_split(a, &cfg, None, split);
+                    let what = format!("{name} ({} buses), {split:?}", a.len());
+                    assert!(same_bits(&m.v, &s.v), "{what}: v");
+                    assert!(same_bits(&m.j, &s.j), "{what}: j");
+                    assert_eq!(m.iterations, s.iterations, "{what}");
+                    assert_eq!(m.status, s.status, "{what}");
+                    assert_eq!(m.residual.to_bits(), s.residual.to_bits(), "{what}");
+                    let hist = |r: &SolveResult| -> Vec<u64> {
+                        r.residual_history.iter().map(|x| x.to_bits()).collect()
+                    };
+                    assert_eq!(hist(&m), hist(&s), "{what}: residual history");
+                    // The split is a host detail: the model never sees it.
+                    assert_eq!(m.timing.phases, modeled.timing.phases, "{what}: modeled time");
+                }
+            }
         }
     }
 

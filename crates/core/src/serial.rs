@@ -19,7 +19,7 @@ use std::time::Instant;
 
 use numc::Complex;
 use powergrid::RadialNetwork;
-use primitives::ops::{MaxAbsF64, ScanOp};
+use primitives::ops::max_abs_fold;
 use simt::HostProps;
 
 use telemetry::Recorder;
@@ -162,14 +162,15 @@ impl SerialSolver {
             let fwd_t0 = phases.total_us();
 
             // Forward sweep with folded convergence norm. The fold must
-            // propagate NaN: `d > delta` is false for NaN, which would
-            // let a corrupt update vanish from the ∞-norm.
+            // propagate NaN (`d > delta` is false for NaN, which would
+            // let a corrupt update vanish from the ∞-norm); `max_abs_fold`
+            // is `MaxAbsF64` over `|ΔV|` bit for bit, minus the `hypot`
+            // wherever the squared norm already decides it.
             let mut delta: f64 = 0.0;
             for p in 1..n {
                 let parent = a.parent_pos[p] as usize;
                 let new_v = v[parent] - a.z[p] * j[p];
-                let d = (new_v - v[p]).abs();
-                delta = MaxAbsF64::combine(delta, d);
+                delta = max_abs_fold(delta, new_v - v[p]);
                 v[p] = new_v;
             }
             phases.forward_us += self.host.region_time_us_ws(

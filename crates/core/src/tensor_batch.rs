@@ -73,7 +73,7 @@ use std::time::Instant;
 
 use numc::Complex;
 use powergrid::{DfsOrder, RadialNetwork};
-use primitives::ops::{MaxAbsF64, ScanOp};
+use primitives::ops::{max_abs_fold, min_abs_fold, MaxAbsF64, ScanOp};
 use primitives::{try_fill, try_reduce_batched};
 use simt::{
     BlockScope, Device, DeviceBuffer, DeviceError, GlobalMut, GlobalRef, HostProps, Kernel,
@@ -2187,32 +2187,6 @@ impl Kernel for SweepKernel<'_> {
             }
         }
     }
-}
-
-/// `MaxAbsF64::combine(cur, x.abs())` for a running max of magnitudes,
-/// bit for bit, without the `hypot` when the squared norm already
-/// decides it. Inside `(1e-150, 1e150)` neither `cur²` nor a smaller
-/// `|x|²` overflows or loses the comparison to underflow, and the
-/// `1e-12` margin dwarfs the few ulps of rounding in `norm_sqr`, `cur²`
-/// and `hypot`: a skipped `x` has `hypot(x) ≤ cur`, so the fold would
-/// have returned `cur` anyway. NaN, ties and everything outside the
-/// window take the exact path.
-#[inline]
-fn max_abs_fold(cur: f64, x: Complex) -> f64 {
-    if cur > 1e-150 && cur < 1e150 && x.norm_sqr() < cur * cur * (1.0 - 1e-12) {
-        return cur;
-    }
-    MaxAbsF64::combine(cur, x.abs())
-}
-
-/// `cur.min(x.abs())` for a running min of magnitudes, bit for bit —
-/// the mirror of [`max_abs_fold`]: a skipped `x` has `hypot(x) ≥ cur`.
-#[inline]
-fn min_abs_fold(cur: f64, x: Complex) -> f64 {
-    if cur > 1e-150 && cur < 1e150 && x.norm_sqr() > cur * cur * (1.0 + 1e-12) {
-        return cur;
-    }
-    cur.min(x.abs())
 }
 
 /// One *no-commit* iteration for the integrity audit: recomputes branch

@@ -143,6 +143,32 @@ impl ScanOp<f64> for MaxAbsF64 {
     const NAME: &'static str = "max_abs_f64";
 }
 
+/// `MaxAbsF64::combine(cur, x.abs())` for a running max of magnitudes,
+/// bit for bit, without the `hypot` when the squared norm already
+/// decides it. Inside `(1e-150, 1e150)` neither `cur²` nor a smaller
+/// `|x|²` overflows or loses the comparison to underflow, and the
+/// `1e-12` margin dwarfs the few ulps of rounding in `norm_sqr`, `cur²`
+/// and `hypot`: a skipped `x` has `hypot(x) ≤ cur`, so the fold would
+/// have returned `cur` anyway. NaN, ties and everything outside the
+/// window take the exact path.
+#[inline]
+pub fn max_abs_fold(cur: f64, x: Complex) -> f64 {
+    if cur > 1e-150 && cur < 1e150 && x.norm_sqr() < cur * cur * (1.0 - 1e-12) {
+        return cur;
+    }
+    MaxAbsF64::combine(cur, x.abs())
+}
+
+/// `cur.min(x.abs())` for a running min of magnitudes, bit for bit —
+/// the mirror of [`max_abs_fold`]: a skipped `x` has `hypot(x) ≥ cur`.
+#[inline]
+pub fn min_abs_fold(cur: f64, x: Complex) -> f64 {
+    if cur > 1e-150 && cur < 1e150 && x.norm_sqr() > cur * cur * (1.0 + 1e-12) {
+        return cur;
+    }
+    cur.min(x.abs())
+}
+
 /// The (flag, value) pair a segmented scan operates on, with the standard
 /// lifted operator: a head flag resets accumulation at its element.
 ///
@@ -284,6 +310,87 @@ impl ScanOp<numc::CVec3> for AddCVec3 {
     }
     const FLOPS: u64 = numc::CVec3::ADD_FLOPS;
     const NAME: &'static str = "add_cv3";
+}
+
+#[cfg(test)]
+mod fold_tests {
+    use super::*;
+    use numc::c;
+
+    fn same_bits(a: f64, b: f64) -> bool {
+        a.to_bits() == b.to_bits()
+    }
+
+    /// `x` moved by `k` ulps (towards +∞ for positive `k`).
+    fn ulps(x: f64, k: i64) -> f64 {
+        f64::from_bits((x.to_bits() as i64 + k) as u64)
+    }
+
+    /// Magnitudes at and around every edge the folds care about.
+    fn edges() -> Vec<f64> {
+        let mut v = vec![
+            0.0,
+            -0.0,
+            f64::from_bits(1),
+            f64::MIN_POSITIVE,
+            ulps(f64::MIN_POSITIVE, -1),
+            1e-200,
+            1e-154,
+            0.5,
+            1.0,
+            3.0,
+            1e154,
+            1e200,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        for e in [1e-150, 1e150] {
+            v.extend((-3..=3).map(|k| ulps(e, k)));
+        }
+        let neg: Vec<f64> = v.iter().map(|x| -x).collect();
+        v.extend(neg);
+        v
+    }
+
+    fn check(cur: f64, x: Complex) {
+        let max = max_abs_fold(cur, x);
+        let want = MaxAbsF64::combine(cur, x.abs());
+        assert!(same_bits(max, want), "max_abs_fold({cur:e}, {x:?}) = {max:e}, want {want:e}");
+        let min = min_abs_fold(cur, x);
+        let want = cur.min(x.abs());
+        assert!(same_bits(min, want), "min_abs_fold({cur:e}, {x:?}) = {min:e}, want {want:e}");
+    }
+
+    #[test]
+    fn folds_match_the_hypot_folds_on_edge_operands() {
+        let e = edges();
+        for &cur in &e {
+            for &re in &e {
+                for &im in &e {
+                    check(cur, c(re, im));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn folds_match_the_hypot_folds_on_near_ties() {
+        // |x| within a few ulps of `cur`, at several phase angles, across
+        // the window and just outside it.
+        let mut curs = vec![1e-149, 2.5e-100, 1e-3, 0.7, 1.0, 1.3, 7.0, 1e100, 1e149];
+        curs.extend([1e-150, 1e150].iter().flat_map(|&e| (-2..=2).map(move |k| ulps(e, k))));
+        for &cur in &curs {
+            for angle in [0.0, 0.3, std::f64::consts::FRAC_PI_4, 1.1, std::f64::consts::FRAC_PI_2] {
+                let (s, co) = f64::sin_cos(angle);
+                for k in -4..=4 {
+                    let m = ulps(cur, k);
+                    check(cur, c(m * co, m * s));
+                    check(cur, c(-m * s, m * co));
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]

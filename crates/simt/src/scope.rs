@@ -24,12 +24,22 @@
 //! Threads of one block execute sequentially on one host worker, so
 //! shared memory needs no host-side synchronisation; different blocks run
 //! in parallel across workers.
+//!
+//! # Host cost
+//!
+//! Every simulated access runs on the host, so a phase is kept cheap:
+//! [`BlockScope::threads`] builds one [`ThreadCtx`] per phase and
+//! re-points it at each thread in turn, finds warp boundaries with a lane
+//! countdown, and tallies the phase's counters by value in the context
+//! ([`crate::stats::PhaseTally`]), adding them into the block's
+//! accounting once when the phase ends. The accounting itself belongs to
+//! the engine worker and is reused from block to block.
 
 use std::cell::UnsafeCell;
 use std::rc::Rc;
 
-use crate::buffer::{DeviceCopy, GlobalMut, GlobalRef};
-use crate::stats::BlockAccounting;
+use crate::buffer::{BufId, DeviceCopy, GlobalMut, GlobalRef};
+use crate::stats::{BlockAccounting, PhaseTally};
 
 /// Per-block execution scope handed to [`crate::Kernel::block`].
 pub struct BlockScope {
@@ -52,6 +62,7 @@ impl BlockScope {
         block_dim: u32,
         warp_size: u32,
         shared_limit: u32,
+        acc: BlockAccounting,
     ) -> Self {
         BlockScope {
             block_idx,
@@ -60,7 +71,7 @@ impl BlockScope {
             block_dim,
             warp_size,
             shared_limit,
-            acc: BlockAccounting::default(),
+            acc,
             phase: 0,
         }
     }
@@ -126,33 +137,36 @@ impl BlockScope {
     /// Runs one barrier-delimited phase: the closure executes once per
     /// thread (tid 0 .. block_dim), followed by an implicit barrier.
     pub fn threads<F: FnMut(&mut ThreadCtx<'_>)>(&mut self, mut f: F) {
-        self.acc.phase_chain_max = 0;
-        self.acc.phase_atomic_max = 0;
-        self.acc.atomic_conflicts.clear();
-        let phase = self.phase.min(u16::MAX as u32) as u16;
-        for tid in 0..self.block_dim {
-            if tid % self.warp_size == 0 {
-                self.acc.warp_epoch += 1;
+        self.acc.begin_phase();
+        let (block_dim, warp_size) = (self.block_dim, self.warp_size);
+        let mut ctx = ThreadCtx {
+            tid: 0,
+            block_idx: self.block_idx,
+            block_dim,
+            grid_dim: self.grid_dim,
+            grid_dim_y: self.grid_dim_y,
+            #[cfg(feature = "racecheck")]
+            phase: self.phase.min(u16::MAX as u32) as u16,
+            seq: 0,
+            tally: PhaseTally::default(),
+            acc: &mut self.acc,
+        };
+        // Longest per-thread access chain of the phase.
+        let mut chain = 0;
+        let mut lanes_left = 0;
+        for tid in 0..block_dim {
+            if lanes_left == 0 {
+                ctx.acc.next_warp();
+                lanes_left = warp_size;
             }
-            let mut ctx = ThreadCtx {
-                tid,
-                block_idx: self.block_idx,
-                block_dim: self.block_dim,
-                grid_dim: self.grid_dim,
-                grid_dim_y: self.grid_dim_y,
-                phase,
-                seq: 0,
-                acc: &mut self.acc,
-            };
+            lanes_left -= 1;
+            ctx.tid = tid;
+            ctx.seq = 0;
             f(&mut ctx);
-            let seq = ctx.seq as u64;
-            if seq > self.acc.phase_chain_max {
-                self.acc.phase_chain_max = seq;
-            }
+            chain = chain.max(ctx.seq);
         }
-        self.acc.phases += 1;
-        self.acc.mem_chain += self.acc.phase_chain_max;
-        self.acc.atomic_chain += self.acc.phase_atomic_max as u64;
+        let tally = ctx.tally;
+        self.acc.end_phase(&tally, chain);
         self.phase += 1;
     }
 }
@@ -199,7 +213,8 @@ impl<T: DeviceCopy> Shared<T> {
     }
 }
 
-/// Per-thread execution context for one phase.
+/// Execution context of the current thread in one phase. The phase
+/// hands the same context to each of its threads in turn.
 pub struct ThreadCtx<'b> {
     tid: u32,
     /// Flat block index (`blockIdx.y * gridDim.x + blockIdx.x`).
@@ -207,11 +222,13 @@ pub struct ThreadCtx<'b> {
     block_dim: u32,
     grid_dim: u32,
     grid_dim_y: u32,
-    #[cfg_attr(not(feature = "racecheck"), allow(dead_code))]
+    #[cfg(feature = "racecheck")]
     phase: u16,
     /// Memory accesses issued by this thread in this phase (the
     /// coalescing slot counter).
     seq: u32,
+    /// Counters of the whole phase so far, all threads.
+    tally: PhaseTally,
     acc: &'b mut BlockAccounting,
 }
 
@@ -281,7 +298,7 @@ impl ThreadCtx<'_> {
     /// [costs]: https://docs.rs/numc (Complex::MUL_FLOPS etc.)
     #[inline]
     pub fn flops(&mut self, n: u64) {
-        self.acc.flops += n;
+        self.tally.flops += n;
     }
 
     /// Loads element `i` from a read-only global view.
@@ -340,14 +357,14 @@ impl ThreadCtx<'_> {
     /// Loads element `i` of a shared-memory array.
     #[inline]
     pub fn lds<T: DeviceCopy>(&mut self, s: &Shared<T>, i: usize) -> T {
-        self.acc.smem_accesses += 1;
+        self.tally.smem_accesses += 1;
         s.raw_load(i)
     }
 
     /// Stores `v` to element `i` of a shared-memory array.
     #[inline]
     pub fn sts<T: DeviceCopy>(&mut self, s: &Shared<T>, i: usize, v: T) {
-        self.acc.smem_accesses += 1;
+        self.tally.smem_accesses += 1;
         s.raw_store(i, v)
     }
 
@@ -361,11 +378,21 @@ impl ThreadCtx<'_> {
     }
 
     #[inline(always)]
-    fn note_gmem(&mut self, buf: crate::buffer::BufId, i: usize, elem: usize, store: bool, len: usize) {
+    fn note_gmem(&mut self, buf: BufId, i: usize, elem: usize, store: bool, len: usize) {
         if i >= len {
             self.gmem_fault(i, store, len);
         }
-        self.acc.note_gmem(buf, (i * elem) as u64, elem as u64, self.seq, store);
+        self.tally_gmem(buf, (i * elem) as u64, elem as u64, store);
+    }
+
+    /// Tallies one in-bounds global access of `bytes` at byte offset
+    /// `byte_off`. The counters are added as 0/1 values, not branched on.
+    #[inline(always)]
+    fn tally_gmem(&mut self, buf: BufId, byte_off: u64, bytes: u64, store: bool) {
+        self.tally.gmem_stores += u64::from(store);
+        self.tally.gmem_loads += u64::from(!store);
+        self.tally.gmem_bytes += bytes;
+        self.tally.gmem_transactions += self.acc.transactions(buf, byte_off, bytes, self.seq);
         self.seq += 1;
     }
 
@@ -386,9 +413,10 @@ impl ThreadCtx<'_> {
 mod tests {
     use super::*;
     use crate::buffer::DeviceBuffer;
+    use crate::stats::{LaunchStats, TRANSACTION_BYTES};
 
     fn scope(block_idx: u64, grid: u32, block: u32) -> BlockScope {
-        BlockScope::new(block_idx, grid, 1, block, 32, 48 * 1024)
+        BlockScope::new(block_idx, grid, 1, block, 32, 48 * 1024, BlockAccounting::default())
     }
 
     #[test]
@@ -413,7 +441,7 @@ mod tests {
     #[test]
     fn two_dimensional_indices_decompose_row_major() {
         // grid = (4, 3): flat block 9 sits at (x=1, y=2).
-        let mut s = BlockScope::new(9, 4, 3, 16, 32, 48 * 1024);
+        let mut s = BlockScope::new(9, 4, 3, 16, 32, 48 * 1024, BlockAccounting::default());
         assert_eq!(s.block_idx(), 9);
         assert_eq!(s.block_idx_x(), 1);
         assert_eq!(s.block_idx_y(), 2);
@@ -516,6 +544,152 @@ mod tests {
             let _ = t.ld(&g, t.tid() * 32); // 256-byte stride
         });
         assert_eq!(s.acc.gmem_transactions, 32);
+    }
+
+    /// One step of a thread's access stream.
+    #[derive(Clone, Copy, Debug)]
+    enum Step {
+        Access { buf: u32, byte_off: u64, bytes: u64, store: bool },
+        /// Consumes an access ordinal without a coalesced access (what
+        /// an atomic does), leaving that slot's state as it was.
+        Skip,
+    }
+
+    /// `phases[p][tid]` is thread `tid`'s stream in phase `p`.
+    type Block = Vec<Vec<Vec<Step>>>;
+
+    /// The per-warp, per-slot coalescing rule written out plainly: an
+    /// access costs a fresh transaction unless the previous access at
+    /// the same slot, in the same phase and warp, touched the same
+    /// buffer and ended in the segment this one starts in; every extra
+    /// segment it spans costs one more.
+    fn reference(block: &Block, warp: usize) -> LaunchStats {
+        let block_dim = block[0].len();
+        let mut out = LaunchStats {
+            blocks: 1,
+            threads: block_dim as u64,
+            phases: block.len() as u64,
+            max_block_threads: block_dim as u64,
+            ..Default::default()
+        };
+        let mut last = std::collections::BTreeMap::new();
+        for (p, threads) in block.iter().enumerate() {
+            out.mem_chain += threads.iter().map(|steps| steps.len() as u64).max().unwrap_or(0);
+            for (tid, steps) in threads.iter().enumerate() {
+                for (slot, step) in steps.iter().enumerate() {
+                    let Step::Access { buf, byte_off, bytes, store } = *step else { continue };
+                    if store {
+                        out.gmem_stores += 1;
+                    } else {
+                        out.gmem_loads += 1;
+                    }
+                    out.gmem_bytes += bytes;
+                    let first = byte_off / TRANSACTION_BYTES;
+                    let end = (byte_off + bytes - 1) / TRANSACTION_BYTES;
+                    let here = (p, tid / warp, buf);
+                    if last.get(&slot) != Some(&(here, first)) {
+                        out.gmem_transactions += 1;
+                    }
+                    out.gmem_transactions += end - first;
+                    last.insert(slot, (here, end));
+                }
+            }
+        }
+        out
+    }
+
+    /// Runs `block` through [`BlockScope::threads`], one phase per
+    /// entry, on an accounting whose warp epoch starts at `epoch`.
+    fn tally(block: &Block, warp: usize, epoch: u32) -> LaunchStats {
+        let block_dim = block[0].len() as u32;
+        let acc = BlockAccounting::at_epoch(epoch);
+        let mut s = BlockScope::new(0, 1, 1, block_dim, warp as u32, 48 * 1024, acc);
+        for threads in block {
+            s.threads(|t| {
+                for step in &threads[t.tid()] {
+                    match *step {
+                        Step::Access { buf, byte_off, bytes, store } => {
+                            t.tally_gmem(BufId(buf), byte_off, bytes, store)
+                        }
+                        Step::Skip => t.seq += 1,
+                    }
+                }
+            });
+        }
+        let mut out = LaunchStats::default();
+        s.acc.fold_into(&mut out, block_dim as u64);
+        out
+    }
+
+    fn random_block(r: &mut impl rng::Rng) -> (Block, usize) {
+        let warp = [1, 3, 4, 8, 32][r.gen_range(0..5usize)];
+        let block_dim = r.gen_range(1..=96usize);
+        let phases = r.gen_range(1..=4usize);
+        let block = (0..phases)
+            .map(|_| {
+                let slots = r.gen_range(0..=6usize);
+                // Per-slot pattern shared by the block's threads, so
+                // warps mostly coalesce; per-thread noise breaks it up.
+                let pattern: Vec<(u32, u64, u64)> = (0..slots)
+                    .map(|_| {
+                        let elem = [4u64, 8, 16][r.gen_range(0..3usize)];
+                        (r.gen_range(0..3u32), elem, r.gen_range(0..64u64) * elem)
+                    })
+                    .collect();
+                (0..block_dim)
+                    .map(|tid| {
+                        let len = r.gen_range(0..=slots);
+                        pattern[..len]
+                            .iter()
+                            .map(|&(buf, elem, base)| {
+                                let aligned = base + tid as u64 * elem;
+                                match r.gen_range(0..10u32) {
+                                    0 => Step::Skip,
+                                    1 => Step::Access {
+                                        buf: r.gen_range(0..3u32),
+                                        byte_off: aligned,
+                                        bytes: elem,
+                                        store: false,
+                                    },
+                                    // Unaligned: may straddle a segment.
+                                    2 => Step::Access {
+                                        buf,
+                                        byte_off: aligned + r.gen_range(1..elem),
+                                        bytes: elem,
+                                        store: r.gen_bool(0.5),
+                                    },
+                                    3 => Step::Access {
+                                        buf,
+                                        byte_off: r.gen_range(0..8192u64),
+                                        bytes: elem,
+                                        store: true,
+                                    },
+                                    _ => Step::Access {
+                                        buf,
+                                        byte_off: aligned,
+                                        bytes: elem,
+                                        store: r.gen_bool(0.3),
+                                    },
+                                }
+                            })
+                            .collect()
+                    })
+                    .collect()
+            })
+            .collect();
+        (block, warp)
+    }
+
+    #[test]
+    fn tally_equals_the_reference_rule_on_random_streams() {
+        let mut r = rng::SplitMix64::new(0x7A11);
+        for case in 0..2000 {
+            let (block, warp) = random_block(&mut r);
+            let want = reference(&block, warp);
+            assert_eq!(tally(&block, warp, 0), want, "case {case}: {block:?}");
+            // Starting just short of the wrap runs the epoch reset.
+            assert_eq!(tally(&block, warp, u32::MAX - 1), want, "case {case} at the wrap");
+        }
     }
 
     #[cfg(feature = "racecheck")]
