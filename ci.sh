@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Offline CI for the FBS power-flow repo. Fourteen legs:
+# Offline CI for the FBS power-flow repo. Fifteen legs:
 #
 #   1. Tier-1 verify: release build + the full default test suite.
 #   2. Workspace: every crate's unit and integration suites
@@ -53,6 +53,9 @@
 #  13. Racecheck: re-runs every simt and fbs device kernel under the
 #      per-cell data-race detector (simt's `racecheck` feature).
 #  14. Lint: clippy over every target with warnings promoted to errors.
+#  15. Results: nothing under `results/` changed. Those files are the
+#      committed full-size tables; the E-bench smoke runs above write
+#      theirs to `target/smoke-results/`.
 #
 # Everything runs with --offline — the repo has zero external registry
 # dependencies (see DESIGN.md, "Dependency policy"), so a warm toolchain
@@ -60,6 +63,9 @@
 
 set -euo pipefail
 cd "$(dirname "$0")"
+
+results_sums() { find results -type f -print0 | sort -z | xargs -0 sha256sum; }
+results_before=$(results_sums)
 
 echo "== tier-1: cargo build --release && cargo test -q =="
 cargo build --release --offline
@@ -138,5 +144,12 @@ cargo test -q --offline --features racecheck -p simt -p fbs
 
 echo "== lint: cargo clippy -D warnings =="
 cargo clippy -q --offline --all-targets -- -D warnings
+
+echo "== results: committed tables untouched =="
+if [ "$(results_sums)" != "$results_before" ]; then
+  diff <(echo "$results_before") <(results_sums) || true
+  echo "ci.sh: results/ changed during CI" >&2
+  exit 1
+fi
 
 echo "== ci.sh: all green =="

@@ -24,6 +24,9 @@ fn main() {
     let cfg = SolverConfig::default();
     let spec = GenSpec::default();
     let smoke = std::env::var("E12_SMOKE").is_ok();
+    if smoke {
+        fbs_bench::route_to_smoke_results();
+    }
     let sizes: &[usize] = if smoke { &SIZES[..1] } else { &SIZES };
 
     let mut table = Table::new(

@@ -121,6 +121,9 @@ fn fault_sweep(table: &mut Table, net: &RadialNetwork, n: usize, reqs: usize) {
 fn main() {
     let spec = GenSpec::default();
     let smoke = std::env::var("E13_SMOKE").is_ok();
+    if smoke {
+        fbs_bench::route_to_smoke_results();
+    }
     let (n, reqs) = if smoke { (255, 12) } else { (1023, 48) };
 
     let mut rng = rng_for(130 + n as u64);

@@ -126,6 +126,9 @@ fn assert_serial_parity(net: &RadialNetwork, cfg: &SolverConfig, buses: &[usize]
 
 fn main() {
     let smoke = std::env::var("E14_SMOKE").is_ok();
+    if smoke {
+        fbs_bench::route_to_smoke_results();
+    }
     let cfg_cold = eval_config();
     let cfg_warm = eval_config().with_warm_start();
     let spec = GenSpec::default();

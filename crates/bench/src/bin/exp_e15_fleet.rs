@@ -139,6 +139,9 @@ fn decisions(responses: &[FleetResponse]) -> String {
 fn main() {
     let spec = GenSpec::default();
     let smoke = std::env::var("E15_SMOKE").is_ok();
+    if smoke {
+        fbs_bench::route_to_smoke_results();
+    }
     let (n, scale_reqs, chaos_reqs) = if smoke { (255, 16, 24) } else { (1023, 48, 96) };
 
     let mut rng = rng_for(150 + n as u64);

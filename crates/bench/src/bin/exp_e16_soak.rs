@@ -191,6 +191,9 @@ fn record_row(
 fn main() {
     let spec = GenSpec::default();
     let smoke = std::env::var("E16_SMOKE").is_ok();
+    if smoke {
+        fbs_bench::route_to_smoke_results();
+    }
     let (n, reqs) = if smoke { (127, 36) } else { (255, 120) };
 
     let mut rng = rng_for(160 + n as u64);

@@ -124,6 +124,9 @@ fn radial_baseline(net: &RadialNetwork, cfg: &SolverConfig) -> (SolveResult, Sol
 
 fn main() {
     let smoke = std::env::var("E17_SMOKE").is_ok();
+    if smoke {
+        fbs_bench::route_to_smoke_results();
+    }
     let cfg = eval_config();
     let outer = OuterConfig::default();
     let spec = GenSpec::default();

@@ -37,6 +37,9 @@ fn scale_for(k: usize, nb: usize) -> f64 {
 
 fn main() {
     let smoke = std::env::var("E9_SMOKE").is_ok();
+    if smoke {
+        fbs_bench::route_to_smoke_results();
+    }
     let cfg = eval_config();
     let spec = GenSpec::default();
     let mut rng = rng_for(90);

@@ -4,7 +4,9 @@
 //! evaluation (see `DESIGN.md`, per-experiment index): it prints a
 //! markdown table to stdout and writes the same rows as CSV under
 //! `results/` (see [`table`]), plus its headline medians into
-//! `results/BENCH_summary.json` (see [`summary`]). All experiments run
+//! `results/BENCH_summary.json` (see [`summary`]); a binary run with its
+//! `E<n>_SMOKE` cut writes both to `target/smoke-results/` instead
+//! ([`route_to_smoke_results`]). All experiments run
 //! on the calibrated `paper_rig` device/host models with fixed seeds,
 //! so modeled output is reproducible bit-for-bit.
 
@@ -12,7 +14,7 @@ pub mod micro;
 pub mod summary;
 pub mod table;
 
-pub use table::{results_dir, speedup, us, Table};
+pub use table::{results_dir, route_to_smoke_results, speedup, us, Table};
 
 use fbs::{SolveResult, SolverConfig};
 use powergrid::RadialNetwork;

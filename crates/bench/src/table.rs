@@ -7,6 +7,7 @@
 use std::fmt::Display;
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use fbs::Timing;
 
@@ -115,14 +116,27 @@ impl Table {
     }
 }
 
-/// `results/` next to the workspace root (falls back to CWD).
+/// Set once a binary runs in smoke mode; see [`route_to_smoke_results`].
+static SMOKE: AtomicBool = AtomicBool::new(false);
+
+/// Sends every later CSV and `BENCH_summary.json` write of this process
+/// to `target/smoke-results/` instead of `results/`. Smoke runs use cut
+/// sizes, so their tables must never replace the committed full-size
+/// ones.
+pub fn route_to_smoke_results() {
+    SMOKE.store(true, Ordering::Relaxed);
+}
+
+/// `results/` next to the workspace root (falls back to CWD), or
+/// `target/smoke-results/` there after [`route_to_smoke_results`].
 pub fn results_dir() -> PathBuf {
+    let sub = if SMOKE.load(Ordering::Relaxed) { "target/smoke-results" } else { "results" };
     let manifest = env!("CARGO_MANIFEST_DIR");
     Path::new(manifest)
         .ancestors()
         .nth(2)
-        .map(|ws| ws.join("results"))
-        .unwrap_or_else(|| PathBuf::from("results"))
+        .map(|ws| ws.join(sub))
+        .unwrap_or_else(|| PathBuf::from(sub))
 }
 
 /// Formats µs with sensible precision.

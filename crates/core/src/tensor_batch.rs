@@ -69,6 +69,7 @@
 //! scenarios.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 use numc::Complex;
@@ -76,8 +77,8 @@ use powergrid::{DfsOrder, RadialNetwork};
 use primitives::ops::{max_abs_fold, min_abs_fold, MaxAbsF64, ScanOp};
 use primitives::{try_fill, try_reduce_batched};
 use simt::{
-    BlockScope, Device, DeviceBuffer, DeviceError, GlobalMut, GlobalRef, HostProps, Kernel,
-    LaunchConfig,
+    BlockScope, BlockTally, Device, DeviceBuffer, DeviceError, GlobalMut, GlobalRef, HostProps,
+    Kernel, LaunchConfig,
 };
 use telemetry::Recorder;
 
@@ -243,6 +244,7 @@ pub struct TensorBatchSolver {
     recorder: Option<Recorder>,
     chunk_cap: usize,
     keep_state: bool,
+    sweep_memo: SweepMemo,
 }
 
 impl TensorBatchSolver {
@@ -253,6 +255,7 @@ impl TensorBatchSolver {
             recorder: None,
             chunk_cap: MAX_CHUNK_SCENARIOS,
             keep_state: true,
+            sweep_memo: SweepMemo::default(),
         }
     }
 
@@ -545,6 +548,7 @@ impl TensorBatchSolver {
                 let attempt = catch_unwind(AssertUnwindSafe(|| {
                     run_chunk(
                         &mut self.device,
+                        &mut self.sweep_memo,
                         a,
                         topo.as_ref().expect("topology resident"),
                         &loads,
@@ -1025,6 +1029,7 @@ enum LoadsRef<'a> {
 #[allow(clippy::too_many_arguments)]
 fn run_chunk(
     dev: &mut Device,
+    memo: &mut SweepMemo,
     a: &SolverArrays,
     topo: &Topology,
     loads: &Loads<'_>,
@@ -1134,6 +1139,7 @@ fn run_chunk(
     let grid_sweep =
         LaunchConfig::grid2d(1, nb.div_ceil(SCENARIOS_PER_BLOCK) as u32, TENSOR_BLOCK);
     let grid_audit = LaunchConfig::grid2d(1, nb as u32, TENSOR_BLOCK);
+    let memo = memo.start(nb, armed);
 
     let mut iteration = 0u32;
     while active > 0 && iteration < cfg.max_iter {
@@ -1162,6 +1168,7 @@ fn run_chunk(
                 level_offsets: &level_offsets,
                 n,
                 nb,
+                memo,
             };
             dev.try_launch(grid_sweep, &kernel)?;
         }
@@ -1637,6 +1644,7 @@ impl TensorOuterSession<'_> {
         let grid_sweep =
             LaunchConfig::grid2d(1, nb.div_ceil(SCENARIOS_PER_BLOCK) as u32, TENSOR_BLOCK);
         let level_offsets: Vec<u32> = self.a.levels.level_offsets.clone();
+        let memo = self.solver.sweep_memo.start(nb, dev.fault_plan().is_some());
 
         let mut iteration = 0u32;
         while active > 0 && iteration < cfg.max_iter {
@@ -1657,6 +1665,7 @@ impl TensorOuterSession<'_> {
                     level_offsets: &level_offsets,
                     n,
                     nb,
+                    memo,
                 };
                 dev.try_launch(grid_sweep, &kernel)?;
             }
@@ -1954,6 +1963,48 @@ struct SweepKernel<'a> {
     /// Scenarios in the chunk (the last block may hold fewer than
     /// [`SCENARIOS_PER_BLOCK`]).
     nb: usize,
+    /// Known block tallies to replay (`None` tallies every block).
+    memo: Option<&'a SweepMemo>,
+}
+
+/// Tallies of [`SweepKernel`] blocks, recorded on the first launch that
+/// runs a block with a given set of live members and replayed on every
+/// later one (see the simt `scope` module's "Host cost" section).
+///
+/// The key is the block (`blockIdx.y`) and the bitmask of its live
+/// members. Everything else a block's tally depends on — which loads are
+/// zero, the patch words, the topology, the chunk geometry — must stay
+/// fixed for the memo's lifetime, so a memo lives for one chunk of
+/// [`run_chunk`] or one round of [`TensorOuterSession`] (whose
+/// `update_loads` may zero a load between rounds), and is off whenever
+/// the device has an armed fault plan, whose resident bit flips can
+/// change what a block reads.
+///
+/// The solver keeps one and [`SweepMemo::start`]s it afresh for every
+/// chunk or round, so its storage is allocated once per solver rather
+/// than around every chunk.
+#[derive(Default)]
+struct SweepMemo {
+    tallies: Vec<OnceLock<BlockTally>>,
+}
+
+impl SweepMemo {
+    /// Forgets every entry and sizes the memo for a sweep over `nb`
+    /// scenarios; `None` (no memo) when the device has an armed fault
+    /// plan.
+    fn start(&mut self, nb: usize, armed: bool) -> Option<&SweepMemo> {
+        #[cfg(test)]
+        if tests::SWEEP_MEMO_OFF.with(std::cell::Cell::get) {
+            return None;
+        }
+        if armed {
+            return None;
+        }
+        let keys = nb.div_ceil(SCENARIOS_PER_BLOCK) << SCENARIOS_PER_BLOCK;
+        self.tallies.clear();
+        self.tallies.resize_with(keys, OnceLock::new);
+        Some(self)
+    }
 }
 
 impl Kernel for SweepKernel<'_> {
@@ -1964,44 +2015,70 @@ impl Kernel for SweepKernel<'_> {
     fn block(&self, blk: &mut BlockScope) {
         let group = blk.block_idx_y() * SCENARIOS_PER_BLOCK;
         let group_end = (group + SCENARIOS_PER_BLOCK).min(self.nb);
-        let bdim = blk.block_dim();
 
         // Active resident scenarios with their load scales and patch
         // words; frozen scenarios cost one 4-byte mask read each and
         // drop out.
         let mut members: Vec<Member> = Vec::new();
-        blk.threads(|t| {
-            if t.tid() == 0 {
-                for s_idx in group..group_end {
-                    if t.ld(&self.mask, s_idx) != 0 {
-                        let scale = match &self.loads {
-                            LoadsRef::Scaled { scales, .. } => t.ld(scales, s_idx),
-                            LoadsRef::Explicit(_) => 0.0,
-                        };
-                        let mut mb = Member {
-                            s_idx,
-                            scale,
-                            cut_pos: u32::MAX,
-                            cut_lo: u32::MAX,
-                            cut_hi: u32::MAX,
-                            z_pos: u32::MAX,
-                            z_val: Complex::ZERO,
-                        };
-                        if let Some(pr) = &self.patch {
-                            mb.cut_pos = t.ld(&pr.cut_pos, s_idx);
-                            mb.cut_lo = t.ld(&pr.cut_lo, s_idx);
-                            mb.cut_hi = t.ld(&pr.cut_hi, s_idx);
-                            mb.z_pos = t.ld(&pr.z_pos, s_idx);
-                            mb.z_val = t.ld(&pr.z_val, s_idx);
-                        }
-                        members.push(mb);
+        blk.phase::<true, _>(1, |t| {
+            for s_idx in group..group_end {
+                if t.ld(&self.mask, s_idx) != 0 {
+                    let scale = match &self.loads {
+                        LoadsRef::Scaled { scales, .. } => t.ld(scales, s_idx),
+                        LoadsRef::Explicit(_) => 0.0,
+                    };
+                    let mut mb = Member {
+                        s_idx,
+                        scale,
+                        cut_pos: u32::MAX,
+                        cut_lo: u32::MAX,
+                        cut_hi: u32::MAX,
+                        z_pos: u32::MAX,
+                        z_val: Complex::ZERO,
+                    };
+                    if let Some(pr) = &self.patch {
+                        mb.cut_pos = t.ld(&pr.cut_pos, s_idx);
+                        mb.cut_lo = t.ld(&pr.cut_lo, s_idx);
+                        mb.cut_hi = t.ld(&pr.cut_hi, s_idx);
+                        mb.z_pos = t.ld(&pr.z_pos, s_idx);
+                        mb.z_val = t.ld(&pr.z_val, s_idx);
                     }
+                    members.push(mb);
                 }
             }
         });
         if members.is_empty() {
             return;
         }
+        // The members phase is always tallied: it is what decides the
+        // key. Only the first launch with this set of live members pays
+        // for the rest of the block's tally; later ones replay it.
+        let Some(memo) = self.memo else {
+            return self.sweep::<true>(blk, &members);
+        };
+        let live = members.iter().fold(0, |m, mb| m | 1 << (mb.s_idx - group));
+        let key = blk.block_idx_y() << SCENARIOS_PER_BLOCK | live;
+        match memo.tallies[key].get() {
+            Some(tally) => {
+                self.sweep::<false>(blk, &members);
+                blk.replay(tally);
+                #[cfg(test)]
+                tests::SWEEP_MEMO_HITS.with(|h| h.set(h.get() + 1));
+            }
+            None => {
+                let start = blk.tally_snapshot();
+                self.sweep::<true>(blk, &members);
+                let _ = memo.tallies[key].set(blk.tally_snapshot().since(&start));
+            }
+        }
+    }
+}
+
+impl SweepKernel<'_> {
+    /// Everything after the members phase: both sweep halves and the
+    /// residual folds, tallied or (for a replayed block) not.
+    fn sweep<const T: bool>(&self, blk: &mut BlockScope, members: &[Member]) {
+        let bdim = blk.block_dim();
         let nm = members.len();
 
         // Per-thread local slots: thread `t` owns node `off + t + m·bdim`
@@ -2026,7 +2103,7 @@ impl Kernel for SweepKernel<'_> {
             let off = self.level_offsets[l] as usize;
             let w = self.level_offsets[l + 1] as usize - off;
             let sb = slot_base[l];
-            blk.threads(|t| {
+            blk.phase::<T, _>(w.min(bdim), |t| {
                 let mut k = t.tid();
                 let mut m = 0usize;
                 while k < w {
@@ -2094,7 +2171,7 @@ impl Kernel for SweepKernel<'_> {
         for (l, &sb) in slot_base.iter().enumerate().take(nl).skip(1) {
             let off = self.level_offsets[l] as usize;
             let w = self.level_offsets[l + 1] as usize - off;
-            blk.threads(|t| {
+            blk.phase::<T, _>(w.min(bdim), |t| {
                 let tid = t.tid();
                 let mut k = tid;
                 let mut m = 0usize;
@@ -2139,50 +2216,42 @@ impl Kernel for SweepKernel<'_> {
         // (and, for patched solves, its minimum updated `|V|`).
         let sh = blk.shared::<f64>(bdim);
         for (qi, mb) in members.iter().enumerate() {
-            blk.threads(|t| {
+            blk.phase::<T, _>(bdim, |t| {
                 t.sts(&sh, t.tid(), partial[qi * bdim + t.tid()]);
             });
             let mut stride = bdim / 2;
             while stride > 0 {
-                blk.threads(|t| {
+                blk.phase::<T, _>(stride, |t| {
                     let tid = t.tid();
-                    if tid < stride {
-                        let a = t.lds(&sh, tid);
-                        let c = t.lds(&sh, tid + stride);
-                        t.flops(MaxAbsF64::FLOPS);
-                        t.sts(&sh, tid, MaxAbsF64::combine(a, c));
-                    }
+                    let a = t.lds(&sh, tid);
+                    let c = t.lds(&sh, tid + stride);
+                    t.flops(MaxAbsF64::FLOPS);
+                    t.sts(&sh, tid, MaxAbsF64::combine(a, c));
                 });
                 stride /= 2;
             }
-            blk.threads(|t| {
-                if t.tid() == 0 {
-                    let r = t.lds(&sh, 0);
-                    t.st(&self.residuals, mb.s_idx, r);
-                }
+            blk.phase::<T, _>(1, |t| {
+                let r = t.lds(&sh, 0);
+                t.st(&self.residuals, mb.s_idx, r);
             });
             if let Some(min_buf) = &self.min_v {
-                blk.threads(|t| {
+                blk.phase::<T, _>(bdim, |t| {
                     t.sts(&sh, t.tid(), partial_min[qi * bdim + t.tid()]);
                 });
                 let mut stride = bdim / 2;
                 while stride > 0 {
-                    blk.threads(|t| {
+                    blk.phase::<T, _>(stride, |t| {
                         let tid = t.tid();
-                        if tid < stride {
-                            let a = t.lds(&sh, tid);
-                            let c = t.lds(&sh, tid + stride);
-                            t.flops(1);
-                            t.sts(&sh, tid, a.min(c));
-                        }
+                        let a = t.lds(&sh, tid);
+                        let c = t.lds(&sh, tid + stride);
+                        t.flops(1);
+                        t.sts(&sh, tid, a.min(c));
                     });
                     stride /= 2;
                 }
-                blk.threads(|t| {
-                    if t.tid() == 0 {
-                        let r = t.lds(&sh, 0);
-                        t.st(min_buf, mb.s_idx, r);
-                    }
+                blk.phase::<T, _>(1, |t| {
+                    let r = t.lds(&sh, 0);
+                    t.st(min_buf, mb.s_idx, r);
                 });
             }
         }
@@ -2361,6 +2430,17 @@ mod tests {
     use rng::rngs::StdRng;
     use rng::SeedableRng;
     use simt::DeviceProps;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Forces [`SweepMemo::start`] off on this thread, so the
+        /// exactness test can compare every tallied launch with its
+        /// replayed twin.
+        pub(super) static SWEEP_MEMO_OFF: Cell<bool> = const { Cell::new(false) };
+        /// Sweep blocks replayed from a memo on this thread (small
+        /// launches run their blocks on the launching thread).
+        pub(super) static SWEEP_MEMO_HITS: Cell<u64> = const { Cell::new(0) };
+    }
 
     fn device() -> Device {
         Device::with_workers(DeviceProps::paper_rig(), 2)
@@ -3050,5 +3130,161 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Bits of everything a batch answer holds.
+    fn answer_bits(r: &TensorBatchResult) -> String {
+        let floats = r.v.iter().chain(&r.j).flatten().flat_map(|z| [z.re, z.im]);
+        let floats = floats.chain(r.residuals.iter().chain(&r.min_v).copied());
+        let floats = floats.chain([r.residual, r.timing.total_us(), r.timing.transfer_us]);
+        let bits: Vec<u64> = floats.map(f64::to_bits).collect();
+        format!(
+            "{bits:?} {:?} {} {:?} {:?}",
+            r.per_scenario_iterations, r.iterations, r.statuses, r.fault_report
+        )
+    }
+
+    /// Runs `op` on a fresh solver from `make` with the sweep memo on and
+    /// again with it off, and asserts that both leave the same timeline
+    /// (every event's kind — kernel name, geometry, full `LaunchStats` —
+    /// and its modeled time's bits) and the same answer. Returns the
+    /// sweep launches of the run and the sweep blocks the memo-on run
+    /// replayed.
+    fn assert_memo_exact(
+        case: &str,
+        make: impl Fn() -> TensorBatchSolver,
+        op: impl Fn(&mut TensorBatchSolver) -> String,
+    ) -> (usize, u64) {
+        let run = |off: bool| {
+            SWEEP_MEMO_OFF.with(|m| m.set(off));
+            SWEEP_MEMO_HITS.with(|h| h.set(0));
+            let mut tbs = make();
+            let answer = op(&mut tbs);
+            SWEEP_MEMO_OFF.with(|m| m.set(false));
+            let events: Vec<(String, u64)> = tbs
+                .device()
+                .timeline()
+                .events()
+                .iter()
+                .map(|e| (format!("{:?}", e.kind), e.modeled_us.to_bits()))
+                .collect();
+            (events, answer, SWEEP_MEMO_HITS.with(Cell::get))
+        };
+        let (on, off) = (run(false), run(true));
+        assert_eq!(on.0.len(), off.0.len(), "{case}: event counts differ");
+        for (i, (a, b)) in on.0.iter().zip(&off.0).enumerate() {
+            assert_eq!(a, b, "{case}: event {i} differs");
+        }
+        assert_eq!(on.1, off.1, "{case}: answers differ");
+        assert_eq!(off.2, 0, "{case}: the memo was forced off");
+        (on.0.iter().filter(|(k, _)| k.contains("tensor_sweep")).count(), on.2)
+    }
+
+    #[test]
+    fn replayed_sweep_tallies_are_exact() {
+        let mut rng = StdRng::seed_from_u64(0x3E30);
+        let net = random_tree(300, 7, &GenSpec::default(), &mut rng);
+        let a = SolverArrays::new(&net);
+        let dfs = DfsOrder::new(&net);
+        let cfg = SolverConfig::default();
+        let scales = [0.5, 0.9, 1.0, 1.3, 0.0, 1.7, 0.75];
+
+        let (_, hits) = assert_memo_exact("scaled", solver, |tbs| {
+            answer_bits(&tbs.try_solve_scaled_arrays(&a, &scales, &cfg).unwrap())
+        });
+        assert!(hits > 0, "scaled: no block was replayed");
+
+        // Explicit loads: zero loads skip a division, a NaN scenario
+        // freezes early and changes its block's live set.
+        let mut explicit = scaled_scenarios(&net, &scales);
+        explicit[1][7] = c(f64::NAN, 0.0);
+        for bus in (0..net.num_buses()).step_by(5) {
+            explicit[2][bus] = Complex::ZERO;
+        }
+        let (_, hits) = assert_memo_exact("explicit + NaN", solver, |tbs| {
+            let r = tbs.try_solve_arrays(&a, &explicit, &cfg).unwrap();
+            assert!(matches!(r.statuses[1], SolveStatus::NumericalFailure { .. }));
+            answer_bits(&r)
+        });
+        assert!(hits > 0, "explicit: no block was replayed");
+
+        // Per-scenario warm starts from a perturbed earlier solve.
+        let first = solver().try_solve_arrays(&a, &explicit, &cfg).unwrap();
+        let warm: Vec<Vec<Complex>> =
+            first.v.iter().map(|v| v.iter().map(|&x| x * 0.999).collect()).collect();
+        let (_, hits) = assert_memo_exact("per-scenario warm", solver, |tbs| {
+            answer_bits(&tbs.try_solve_arrays_warm(&a, &explicit, &cfg, &warm).unwrap())
+        });
+        assert!(hits > 0, "warm: no block was replayed");
+
+        // A warm N-1 screen with an impedance override, chunked small.
+        let base = SerialSolver::new(HostProps::paper_rig()).solve_arrays(&a, &cfg);
+        let mut patches: Vec<ScenarioPatch> = (1..12).map(ScenarioPatch::outage).collect();
+        patches.push(ScenarioPatch {
+            z_override: Some((9, c(0.4, 0.8))),
+            scale: 1.1,
+            ..ScenarioPatch::default()
+        });
+        let chunked = || TensorBatchSolver::new(device()).with_chunk_scenarios(3);
+        let (_, hits) = assert_memo_exact("patched warm screen, chunked", chunked, |tbs| {
+            answer_bits(
+                &tbs.try_solve_patched_arrays(&a, &dfs, &patches, &cfg, Some(&base.v)).unwrap(),
+            )
+        });
+        assert!(hits > 0, "patched: no block was replayed");
+
+        // A modeled deadline freezes every live scenario mid-solve.
+        let mut deadline_cfg = cfg.clone().with_deadline(1.0);
+        deadline_cfg.max_iter = 50;
+        let (sweeps, _) = assert_memo_exact("deadline", solver, |tbs| {
+            let r = tbs.try_solve_scaled_arrays(&a, &scales, &deadline_cfg).unwrap();
+            assert!(matches!(r.statuses[0], SolveStatus::DeadlineExceeded { .. }));
+            answer_bits(&r)
+        });
+        assert!(sweeps > 0, "deadline: no sweep ran");
+
+        // The outer session: sparse load updates (one zeroes a load)
+        // and a retirement between rounds.
+        let loads = scaled_scenarios(&net, &scales[..5]);
+        let session = |tbs: &mut TensorBatchSolver| {
+            let mut out = String::new();
+            let mut s = tbs.outer_session(&a, &loads, &[3, 150], None, &cfg);
+            for round in 0..3 {
+                let r = s.solve_round(&cfg);
+                let probes: Vec<u64> =
+                    r.probe_v.iter().flatten().flat_map(|z| [z.re, z.im]).map(f64::to_bits).collect();
+                out += &format!("{probes:?} {:?} {:?};", r.statuses, r.iterations);
+                match round {
+                    0 => s.update_loads(&[(1, 20, Complex::ZERO), (3, 40, c(900.0, 300.0))]),
+                    _ => s.retire(round),
+                }
+            }
+            let rep = s.finish(&cfg);
+            let v: Vec<u64> =
+                rep.v.iter().flatten().flat_map(|z| [z.re, z.im]).map(f64::to_bits).collect();
+            out + &format!("{v:?} {} {} {}", rep.total_us.to_bits(), rep.retries, rep.degraded)
+        };
+        let (_, hits) = assert_memo_exact("outer session", solver, session);
+        assert!(hits > 0, "session: no block was replayed");
+
+        // An armed plan with resident bit flips keeps the memo off.
+        let mut armed_sweeps = 0;
+        for seed in 0..4u64 {
+            let armed = || {
+                let mut dev = device();
+                dev.arm_faults(simt::FaultPlan::seeded(0xB17F + seed, 0.05));
+                TensorBatchSolver::new(dev)
+            };
+            let (sweeps, hits) = assert_memo_exact("armed", armed, |tbs| {
+                let r = tbs.try_solve_scaled_arrays(&a, &scales, &cfg);
+                format!("{} {:?}", r.as_ref().map_or(String::new(), answer_bits), r.err())
+            });
+            assert_eq!(hits, 0, "armed seed {seed}: the memo must stay off");
+            armed_sweeps += sweeps;
+            let (sweeps, hits) = assert_memo_exact("armed session", armed, session);
+            assert_eq!(hits, 0, "armed session seed {seed}: the memo must stay off");
+            armed_sweeps += sweeps;
+        }
+        assert!(armed_sweeps > 0, "no armed run reached a sweep");
     }
 }

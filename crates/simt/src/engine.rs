@@ -410,6 +410,22 @@ mod tests {
             }
             assert!(acc.warp_epoch < u32::MAX - 1, "the epoch wrapped");
             assert_eq!(wrapped, want, "case {case}, across the wrap");
+            // So does replaying each block's snapshot into a fresh
+            // accounting that only charges the block's shared memory.
+            let mut replayed = LaunchStats::default();
+            for b in 0..cfg.total_blocks() {
+                let scope = || {
+                    let acc = BlockAccounting::default();
+                    BlockScope::new(b, cfg.grid, 1, cfg.block, warp, 48 * 1024, acc)
+                };
+                let mut ran = scope();
+                k.block(&mut ran);
+                let mut fresh = scope();
+                let _ = fresh.shared::<f64>(k.prog.shared_len(b));
+                fresh.replay(&ran.tally_snapshot());
+                fresh.acc.fold_into(&mut replayed, cfg.block as u64);
+            }
+            assert_eq!(replayed, want, "case {case}, replayed snapshots");
         }
     }
 

@@ -89,6 +89,6 @@ pub use kernel::{Kernel, LaunchConfig};
 pub use props::{DeviceProps, HostProps};
 pub use scope::{BlockScope, Shared, ThreadCtx};
 pub use span_export::{export_timeline_spans, export_timeline_spans_to};
-pub use stats::{LaunchStats, TRANSACTION_BYTES};
+pub use stats::{BlockTally, LaunchStats, TRANSACTION_BYTES};
 pub use timeline::{Breakdown, Event, EventKind, KernelReport, Timeline};
 pub use timing::{Bound, KernelTiming};

@@ -34,12 +34,34 @@
 //! ([`crate::stats::PhaseTally`]), adding them into the block's
 //! accounting once when the phase ends. The accounting itself belongs to
 //! the engine worker and is reused from block to block.
+//!
+//! [`BlockScope::phase`] is the general form: it runs only threads
+//! `0..active` (idle threads make no accesses, so skipping them changes
+//! no statistic), and with `TALLY = false` it counts nothing at all —
+//! accesses keep their out-of-bounds device-fault check and their race
+//! hooks, but add no flop, load, store, transaction or phase to the
+//! block. The mode is a const parameter, so the tallied path compiles
+//! exactly as [`BlockScope::threads`] and the untallied one carries no
+//! per-access flag.
+//!
+//! An untallied phase is only correct when its statistics are already
+//! known. A kernel that memoises them takes [`BlockScope::tally_snapshot`]
+//! before and after a tallied run of a block's phases, keeps the
+//! difference, and on a later launch runs the same phases untallied and
+//! hands the difference to [`BlockScope::replay`]. The memo's key must
+//! cover everything the tally depends on — the block's identity and every
+//! value that steers its control flow or addresses (which work items are
+//! live, which loads are zero, the patch words, the topology, the launch
+//! geometry) — and the memo must not outlive any of them. Data the kernel
+//! only computes with (the iterate itself) needs no key. A device with an
+//! armed fault plan can flip resident bits under the kernel, changing
+//! what a block reads and so where it goes; memos stay off there.
 
 use std::cell::UnsafeCell;
 use std::rc::Rc;
 
 use crate::buffer::{BufId, DeviceCopy, GlobalMut, GlobalRef};
-use crate::stats::{BlockAccounting, PhaseTally};
+use crate::stats::{BlockAccounting, BlockTally, PhaseTally};
 
 /// Per-block execution scope handed to [`crate::Kernel::block`].
 pub struct BlockScope {
@@ -136,13 +158,33 @@ impl BlockScope {
 
     /// Runs one barrier-delimited phase: the closure executes once per
     /// thread (tid 0 .. block_dim), followed by an implicit barrier.
-    pub fn threads<F: FnMut(&mut ThreadCtx<'_>)>(&mut self, mut f: F) {
-        self.acc.begin_phase();
-        let (block_dim, warp_size) = (self.block_dim, self.warp_size);
+    pub fn threads<F: FnMut(&mut ThreadCtx<'_>)>(&mut self, f: F) {
+        self.phase::<true, F>(self.block_dim as usize, f)
+    }
+
+    /// Runs one barrier-delimited phase over threads `0..active` only
+    /// (threads `active..block_dim` are idle: they make no accesses).
+    /// With `TALLY = false` the phase adds nothing to the block's
+    /// statistics; see the module's "Host cost" section for when that is
+    /// sound. Panics if `active` exceeds the block size.
+    pub fn phase<const TALLY: bool, F: FnMut(&mut ThreadCtx<'_, TALLY>)>(
+        &mut self,
+        active: usize,
+        mut f: F,
+    ) {
+        assert!(
+            active <= self.block_dim as usize,
+            "phase of {active} threads in a block of {}",
+            self.block_dim
+        );
+        if TALLY {
+            self.acc.begin_phase();
+        }
+        let warp_size = self.warp_size;
         let mut ctx = ThreadCtx {
             tid: 0,
             block_idx: self.block_idx,
-            block_dim,
+            block_dim: self.block_dim,
             grid_dim: self.grid_dim,
             grid_dim_y: self.grid_dim_y,
             #[cfg(feature = "racecheck")]
@@ -154,20 +196,38 @@ impl BlockScope {
         // Longest per-thread access chain of the phase.
         let mut chain = 0;
         let mut lanes_left = 0;
-        for tid in 0..block_dim {
-            if lanes_left == 0 {
-                ctx.acc.next_warp();
-                lanes_left = warp_size;
+        for tid in 0..active as u32 {
+            if TALLY {
+                if lanes_left == 0 {
+                    ctx.acc.next_warp();
+                    lanes_left = warp_size;
+                }
+                lanes_left -= 1;
             }
-            lanes_left -= 1;
             ctx.tid = tid;
             ctx.seq = 0;
             f(&mut ctx);
-            chain = chain.max(ctx.seq);
+            if TALLY {
+                chain = chain.max(ctx.seq);
+            }
         }
-        let tally = ctx.tally;
-        self.acc.end_phase(&tally, chain);
+        if TALLY {
+            let tally = ctx.tally;
+            self.acc.end_phase(&tally, chain);
+        }
         self.phase += 1;
+    }
+
+    /// The block's statistics so far, shared-memory footprint aside.
+    pub fn tally_snapshot(&self) -> BlockTally {
+        self.acc.snapshot()
+    }
+
+    /// Adds a tally recorded from an earlier run of the same phases (the
+    /// difference of two [`BlockScope::tally_snapshot`]s) to the block's
+    /// statistics.
+    pub fn replay(&mut self, tally: &BlockTally) {
+        self.acc.replay(tally);
     }
 }
 
@@ -214,8 +274,10 @@ impl<T: DeviceCopy> Shared<T> {
 }
 
 /// Execution context of the current thread in one phase. The phase
-/// hands the same context to each of its threads in turn.
-pub struct ThreadCtx<'b> {
+/// hands the same context to each of its threads in turn. `TALLY`
+/// (default `true`) is the phase's mode; untallied contexts skip only
+/// the accounting, never the fault check or the race hooks.
+pub struct ThreadCtx<'b, const TALLY: bool = true> {
     tid: u32,
     /// Flat block index (`blockIdx.y * gridDim.x + blockIdx.x`).
     block_idx: u64,
@@ -232,7 +294,7 @@ pub struct ThreadCtx<'b> {
     acc: &'b mut BlockAccounting,
 }
 
-impl ThreadCtx<'_> {
+impl<const TALLY: bool> ThreadCtx<'_, TALLY> {
     /// Thread index within the block (`threadIdx.x`).
     #[inline]
     pub fn tid(&self) -> usize {
@@ -298,7 +360,9 @@ impl ThreadCtx<'_> {
     /// [costs]: https://docs.rs/numc (Complex::MUL_FLOPS etc.)
     #[inline]
     pub fn flops(&mut self, n: u64) {
-        self.tally.flops += n;
+        if TALLY {
+            self.tally.flops += n;
+        }
     }
 
     /// Loads element `i` from a read-only global view.
@@ -346,8 +410,10 @@ impl ThreadCtx<'_> {
                 self.tid
             );
         }
-        self.acc.note_atomic(g.id, i, std::mem::size_of::<T>() as u64, T::COMPONENT_OPS);
-        self.seq += 1;
+        if TALLY {
+            self.acc.note_atomic(g.id, i, std::mem::size_of::<T>() as u64, T::COMPONENT_OPS);
+            self.seq += 1;
+        }
         #[cfg(feature = "racecheck")]
         g.race.on_atomic(i, self.race_id());
         // SAFETY: bounds checked above; access is atomic per AtomicAdd.
@@ -357,14 +423,18 @@ impl ThreadCtx<'_> {
     /// Loads element `i` of a shared-memory array.
     #[inline]
     pub fn lds<T: DeviceCopy>(&mut self, s: &Shared<T>, i: usize) -> T {
-        self.tally.smem_accesses += 1;
+        if TALLY {
+            self.tally.smem_accesses += 1;
+        }
         s.raw_load(i)
     }
 
     /// Stores `v` to element `i` of a shared-memory array.
     #[inline]
     pub fn sts<T: DeviceCopy>(&mut self, s: &Shared<T>, i: usize, v: T) {
-        self.tally.smem_accesses += 1;
+        if TALLY {
+            self.tally.smem_accesses += 1;
+        }
         s.raw_store(i, v)
     }
 
@@ -382,7 +452,9 @@ impl ThreadCtx<'_> {
         if i >= len {
             self.gmem_fault(i, store, len);
         }
-        self.tally_gmem(buf, (i * elem) as u64, elem as u64, store);
+        if TALLY {
+            self.tally_gmem(buf, (i * elem) as u64, elem as u64, store);
+        }
     }
 
     /// Tallies one in-bounds global access of `bytes` at byte offset
@@ -519,6 +591,87 @@ mod tests {
             let i = t.tid();
             t.st(&g, i, 1); // threads 4..8 fault
         });
+    }
+
+    #[test]
+    #[should_panic(expected = "device fault")]
+    fn out_of_bounds_store_is_device_fault_untallied() {
+        let mut b = DeviceBuffer::<u32>::zeroed(4);
+        let g = b.view_mut();
+        let mut s = scope(0, 1, 8);
+        s.phase::<false, _>(8, |t| {
+            let i = t.tid();
+            t.st(&g, i, 1); // threads 4..8 fault
+        });
+    }
+
+    /// Two phases of mixed traffic over the first `active` threads.
+    fn mixed_phases<const T: bool>(s: &mut BlockScope, g: &GlobalMut<'_, f64>, active: usize) {
+        let sh = s.shared::<f64>(64);
+        s.phase::<T, _>(active, |t| {
+            let i = t.tid();
+            let v = t.ld_mut(g, 3 * i);
+            t.flops(3);
+            t.sts(&sh, i, v);
+        });
+        s.phase::<T, _>(active, |t| {
+            let i = t.tid();
+            let v = t.lds(&sh, i);
+            t.st(g, 3 * i + 1, v + 1.0);
+        });
+    }
+
+    #[test]
+    fn untallied_phases_count_nothing_and_replay_restores_the_tally() {
+        let mut b = DeviceBuffer::<f64>::zeroed(3 * 64);
+        let g = b.view_mut();
+        let mut tallied = scope(0, 1, 64);
+        let start = tallied.tally_snapshot();
+        mixed_phases::<true>(&mut tallied, &g, 40);
+        let delta = tallied.tally_snapshot().since(&start);
+
+        let mut replayed = scope(0, 1, 64);
+        mixed_phases::<false>(&mut replayed, &g, 40);
+        assert_eq!(replayed.tally_snapshot(), BlockTally::default());
+        assert_eq!(replayed.acc.shared_bytes, 64 * 8, "shared memory is charged in both modes");
+        replayed.replay(&delta);
+        let (mut want, mut got) = (LaunchStats::default(), LaunchStats::default());
+        tallied.acc.fold_into(&mut want, 64);
+        replayed.acc.fold_into(&mut got, 64);
+        assert_eq!(got, want);
+        assert_eq!(want.gmem_loads, 40);
+        assert_eq!(want.phases, 2);
+    }
+
+    #[test]
+    fn a_phase_over_the_active_threads_equals_a_guarded_full_phase() {
+        let src = DeviceBuffer::<f64>::zeroed(3 * 96);
+        let mut dst = DeviceBuffer::<f64>::zeroed(96);
+        let (src, dst) = (src.view(), dst.view_mut());
+        for active in [0, 1, 31, 33, 96] {
+            let mut narrow = scope(0, 1, 96);
+            narrow.phase::<true, _>(active, |t| {
+                let i = t.tid();
+                let v = t.ld(&src, 3 * i);
+                t.st(&dst, i, v);
+            });
+            let mut full = scope(0, 1, 96);
+            full.threads(|t| {
+                let i = t.tid();
+                if i < active {
+                    let v = t.ld(&src, 3 * i);
+                    t.st(&dst, i, v);
+                }
+            });
+            assert_eq!(narrow.tally_snapshot(), full.tally_snapshot(), "active {active}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "phase of 9 threads")]
+    fn a_phase_wider_than_the_block_is_refused() {
+        let mut s = scope(0, 1, 8);
+        s.phase::<true, _>(9, |_| {});
     }
 
     #[test]
@@ -700,6 +853,18 @@ mod tests {
         let g = b.view_mut();
         let mut s = scope(0, 1, 2);
         s.threads(|t| {
+            t.st(&g, 0, t.tid() as u32); // both threads write cell 0
+        });
+    }
+
+    #[cfg(feature = "racecheck")]
+    #[test]
+    #[should_panic(expected = "race")]
+    fn racecheck_catches_same_phase_conflict_untallied() {
+        let mut b = DeviceBuffer::<u32>::zeroed(1);
+        let g = b.view_mut();
+        let mut s = scope(0, 1, 2);
+        s.phase::<false, _>(2, |t| {
             t.st(&g, 0, t.tid() as u32); // both threads write cell 0
         });
     }

@@ -23,6 +23,12 @@
 //!   rebuilt per block. Slots are tagged with the warp epoch that wrote
 //!   them, and the epoch keeps counting across blocks: a slot written by
 //!   an earlier warp, phase or block can never coalesce.
+//!
+//! A kernel whose blocks repeat the same access pattern launch after
+//! launch can skip the tally altogether: [`BlockTally`] is a block's
+//! counters captured once ([`crate::BlockScope::tally_snapshot`]) and
+//! added back later ([`crate::BlockScope::replay`]) for a block that runs
+//! its phases untallied.
 
 use crate::buffer::BufId;
 
@@ -109,6 +115,46 @@ pub(crate) struct PhaseTally {
     pub gmem_bytes: u64,
     pub gmem_transactions: u64,
     pub smem_accesses: u64,
+}
+
+/// Every counter of a block's accounting except its shared-memory
+/// footprint, which [`crate::BlockScope::shared`] charges (and checks
+/// against the device limit) whether the block is tallied or replayed.
+///
+/// Taken with [`crate::BlockScope::tally_snapshot`]; the difference of
+/// two snapshots ([`BlockTally::since`]) is what the phases between them
+/// added, and [`crate::BlockScope::replay`] adds such a difference back.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct BlockTally {
+    flops: u64,
+    gmem_loads: u64,
+    gmem_stores: u64,
+    gmem_bytes: u64,
+    gmem_transactions: u64,
+    gmem_atomics: u64,
+    atomic_chain: u64,
+    smem_accesses: u64,
+    phases: u64,
+    mem_chain: u64,
+}
+
+impl BlockTally {
+    /// What was tallied between `start` and this later snapshot of the
+    /// same block.
+    pub fn since(&self, start: &BlockTally) -> BlockTally {
+        BlockTally {
+            flops: self.flops - start.flops,
+            gmem_loads: self.gmem_loads - start.gmem_loads,
+            gmem_stores: self.gmem_stores - start.gmem_stores,
+            gmem_bytes: self.gmem_bytes - start.gmem_bytes,
+            gmem_transactions: self.gmem_transactions - start.gmem_transactions,
+            gmem_atomics: self.gmem_atomics - start.gmem_atomics,
+            atomic_chain: self.atomic_chain - start.atomic_chain,
+            smem_accesses: self.smem_accesses - start.smem_accesses,
+            phases: self.phases - start.phases,
+            mem_chain: self.mem_chain - start.mem_chain,
+        }
+    }
 }
 
 /// Per-block accounting that [`crate::scope::BlockScope`] writes into as
@@ -233,6 +279,36 @@ impl BlockAccounting {
         if *e > self.phase_atomic_max {
             self.phase_atomic_max = *e;
         }
+    }
+
+    /// The block's counters so far.
+    pub fn snapshot(&self) -> BlockTally {
+        BlockTally {
+            flops: self.flops,
+            gmem_loads: self.gmem_loads,
+            gmem_stores: self.gmem_stores,
+            gmem_bytes: self.gmem_bytes,
+            gmem_transactions: self.gmem_transactions,
+            gmem_atomics: self.gmem_atomics,
+            atomic_chain: self.atomic_chain,
+            smem_accesses: self.smem_accesses,
+            phases: self.phases,
+            mem_chain: self.mem_chain,
+        }
+    }
+
+    /// Adds a recorded tally to the block's counters.
+    pub fn replay(&mut self, t: &BlockTally) {
+        self.flops += t.flops;
+        self.gmem_loads += t.gmem_loads;
+        self.gmem_stores += t.gmem_stores;
+        self.gmem_bytes += t.gmem_bytes;
+        self.gmem_transactions += t.gmem_transactions;
+        self.gmem_atomics += t.gmem_atomics;
+        self.atomic_chain += t.atomic_chain;
+        self.smem_accesses += t.smem_accesses;
+        self.phases += t.phases;
+        self.mem_chain += t.mem_chain;
     }
 
     /// Ends a phase: adds its tally, its longest per-thread access chain
